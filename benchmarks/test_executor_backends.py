@@ -6,7 +6,7 @@ how many workers the cluster has; the process backend runs each worker's
 slots in a spawn-based pool and scales with physical cores.  The 2x
 acceptance bound is asserted only on hosts with >= 4 cores — on smaller
 machines the backends converge (and process pays IPC overhead), which the
-recorded ``cpu_count`` makes explicit in the checked-in JSON.
+recorded ``cpu_count`` makes explicit in the written JSON.
 """
 
 import os

@@ -29,12 +29,6 @@ Old deep import (still works)                  Stable top-level name
 ``repro.streaming.context.StreamingContext``   ``repro.StreamingContext``
 =============================================  ==========================
 
-Legacy shorthand aliases from before the redesign (``Cluster``,
-``Config``, ``StreamContext``) still resolve but raise a
-:class:`DeprecationWarning`; they are defined *only* here, never
-re-exported by any other module (enforced by
-``tests/test_public_api_lint.py``).
-
 Layers (bottom-up):
 
 * :mod:`repro.dag` — dataset DAG, stage planner, shuffle specs, combiners.
@@ -56,7 +50,6 @@ Layers (bottom-up):
 
 from __future__ import annotations
 
-import warnings
 from typing import Any
 
 __version__ = "1.0.0"
@@ -85,15 +78,6 @@ _LAZY_EXPORTS = {
     "StreamingContext": ("repro.streaming.context", "StreamingContext"),
 }
 
-# Pre-redesign shorthand names, kept importable one release with a
-# warning.  These aliases exist ONLY at the top level — no other module
-# may re-export them (tests/test_public_api_lint.py).
-DEPRECATED_ALIASES = {
-    "Cluster": "LocalCluster",
-    "Config": "EngineConf",
-    "StreamContext": "StreamingContext",
-}
-
 __all__ = [
     "ChaosConf",
     "DataPlaneConf",
@@ -115,26 +99,11 @@ __all__ = [
 
 
 def __getattr__(name: str) -> Any:
-    if name in DEPRECATED_ALIASES:
-        target = DEPRECATED_ALIASES[name]
-        warnings.warn(
-            f"repro.{name} is deprecated; use repro.{target}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        name = target
     entry = _LAZY_EXPORTS.get(name)
     if entry is None:
-        if name in __all__:
-            # A deprecated alias resolved to an eagerly-imported name.
-            return globals()[name]
         raise AttributeError(f"module 'repro' has no attribute {name!r}")
     import importlib
 
     value = getattr(importlib.import_module(entry[0]), entry[1])
     globals()[name] = value  # cache: next access skips __getattr__
     return value
-
-
-def __dir__() -> list:
-    return sorted(set(globals()) | set(__all__) | set(DEPRECATED_ALIASES))

@@ -20,7 +20,6 @@ from typing import Callable, List, Tuple
 from repro.bench.figures import (
     ablation_pipelined,
     ablation_treereduce,
-    connection_scaling,
     elastic_adaptation,
     executor_backend_comparison,
     fig4a_group_scheduling,
@@ -221,7 +220,6 @@ def _transport() -> str:
     _STRUCTURED_ROWS["transport"] = rows
     sweep = [r for r in rows if r["workload"] == "sweep"]
     steady = [r for r in rows if r["workload"] == "steady"]
-    raw = [r for r in rows if r["workload"] == "raw"]
     report = render_table(
         ["transport", "group_size", "ms_per_batch", "rpc_messages",
          "bytes_sent", "bytes_received", "fetch_batches", "buckets/fetch",
@@ -251,51 +249,7 @@ def _transport() -> str:
                   "instantiate_template per worker replaces the per-task "
                   "payload)",
         )
-    if raw:
-        sweep_by_g = {
-            r["group_size"]: r for r in sweep if r["transport"] == "tcp"
-        }
-        raw_rows = []
-        for r in raw:
-            base = sweep_by_g.get(r["group_size"])
-            speedup = (
-                base["ms_per_batch"] / r["ms_per_batch"]
-                if base and r["ms_per_batch"] > 0
-                else 0.0
-            )
-            raw_rows.append(
-                [r["transport"], r["group_size"], r["ms_per_batch"], speedup,
-                 r["rpc_messages"], r["shm_hits"], r["shm_fallbacks"],
-                 r["block_encode_ms"], r["open_connections"]]
-            )
-        report += "\n\n" + render_table(
-            ["transport", "group_size", "ms_per_batch", "speedup_vs_sweep",
-             "rpc_messages", "shm_hits", "shm_fallbacks", "block_encode_ms",
-             "open_connections"],
-            raw_rows,
-            title="Raw-speed tier on tcp — record blocks + shm shuffle + "
-                  "async transport all on (docs/networking.md): co-located "
-                  "reducers read shuffle output from shared memory "
-                  "(shm_hits) and peer control messages skip the wire, so "
-                  "rpc_messages collapses to the launch path",
-        )
     return report
-
-
-def _connscale() -> str:
-    rows = connection_scaling()
-    _STRUCTURED_ROWS["connscale"] = rows
-    return render_table(
-        ["server", "connections", "threads_for_idle_conns", "rpc_p50_us",
-         "rpc_p95_us", "open_connections_gauge"],
-        [[r["server"], r["connections"], r["threads_for_idle_conns"],
-          r["rpc_p50_us"], r["rpc_p95_us"], r["open_connections_gauge"]]
-         for r in rows],
-        title="Connection scaling — threads needed to hold N idle "
-              "connections: the threaded server parks a thread per "
-              "connection, the event-loop server parks them on one loop "
-              "(gauge tracked by the async server only)",
-    )
 
 
 def _telemetry() -> str:
@@ -363,7 +317,6 @@ EXPERIMENTS: List[Tuple[str, Callable[[], str]]] = [
     ("elastic", _elastic),
     ("executors", _executors),
     ("transport", _transport),
-    ("connscale", _connscale),
     ("telemetry", _telemetry),
 ]
 
@@ -385,7 +338,7 @@ def main(argv: List[str] | None = None) -> int:
                              "snapshot) per experiment into DIR (default: .)")
     parser.add_argument("--baseline", metavar="PATH", default=None,
                         help="diff ms_per_batch of structured-row experiments "
-                             "against checked-in BENCH_<name>.json files (PATH "
+                             "against an earlier run's BENCH_<name>.json files (PATH "
                              "is a file or a directory) and print regressions")
     parser.add_argument("--list", action="store_true", help="list experiment ids")
     args = parser.parse_args(argv)

@@ -458,7 +458,7 @@ def executor_backend_comparison(
     on the GIL, so on a machine with >= 4 cores the process backend should
     deliver >= 2x the records/s; on fewer cores the two converge and the
     process backend additionally pays its IPC overhead.  ``cpu_count`` is
-    recorded in every row so checked-in results stay interpretable.
+    recorded in every row so saved results stay interpretable.
     """
     import os
     import time
@@ -523,7 +523,6 @@ def transport_coordination(
     workers: int = 2,
     slots: int = 2,
     template_group_sizes: Sequence[int] = (10, 20),
-    raw_group_sizes: Sequence[int] = (5, 20),
 ) -> List[Dict]:
     """Fig 5-style sweep on the *actual* engine: coordination cost of the
     tcp transport vs the in-process one, with the group size on the
@@ -547,28 +546,16 @@ def transport_coordination(
     state — ``launch_bytes_per_group`` with templates on should be flat
     in the group size (the instantiate message carries only batch ids),
     while the templates-off stage-blob path stays O(group size).
-
-    The ``workload="raw"`` rows re-run the per-batch sweep on tcp with
-    the whole raw-speed tier on (``DataPlaneConf.record_blocks``,
-    ``shm_shuffle``, ``async_io`` — see "Raw speed" in
-    docs/networking.md): buckets travel as columnar record blocks,
-    co-located reducers read map outputs straight out of shared-memory
-    segments (``shm_hits``) instead of issuing ``fetch_buckets`` RPCs,
-    and shuffle/report control messages between co-located peers are
-    delivered by direct call.  Compare a raw row against the sweep row
-    at the same transport/group size for the end-to-end speedup.
     """
     import time
 
     from repro.common.config import (
-        DataPlaneConf,
         EngineConf,
         SchedulingMode,
         TemplateConf,
         TransportConf,
     )
     from repro.common.metrics import (
-        COUNT_BLOCKS_ENCODE_MS,
         COUNT_LAUNCH_RPCS,
         COUNT_NET_BYTES_RECEIVED,
         COUNT_NET_BYTES_SAVED_COMPRESSION,
@@ -578,13 +565,10 @@ def transport_coordination(
         COUNT_NET_LAUNCH_BYTES_SENT,
         COUNT_NET_TEMPLATE_BYTES_SAVED,
         COUNT_RPC_MESSAGES,
-        COUNT_SHM_FALLBACKS,
-        COUNT_SHM_HITS,
         COUNT_STAGE_CACHE_HIT,
         COUNT_STAGE_CACHE_MISS,
         COUNT_TEMPLATE_HIT,
         COUNT_TEMPLATE_MISS,
-        GAUGE_NET_OPEN_CONNECTIONS,
         HIST_NET_BUCKETS_PER_FETCH,
         HIST_NET_CALL_LATENCY,
     )
@@ -614,26 +598,14 @@ def transport_coordination(
         return compile_plan(ds, dict_action())
 
     def run_one(
-        transport: str,
-        group_size: int,
-        templates_on: bool,
-        steady: bool,
-        raw: bool = False,
+        transport: str, group_size: int, templates_on: bool, steady: bool
     ) -> Dict:
-        transport_conf = TransportConf(backend=transport)
-        if raw:
-            transport_conf = TransportConf(
-                backend=transport,
-                data_plane=DataPlaneConf(
-                    record_blocks=True, shm_shuffle=True, async_io=True
-                ),
-            )
         conf = EngineConf(
             num_workers=workers,
             slots_per_worker=slots,
             scheduling_mode=SchedulingMode.DRIZZLE,
             group_size=group_size,
-            transport=transport_conf,
+            transport=TransportConf(backend=transport),
             templates=TemplateConf(enabled=templates_on),
         )
         build_fn = build_steady if steady else build
@@ -647,13 +619,6 @@ def transport_coordination(
                 # Warm-up batch: dials the connection pools and ships the
                 # first closures, so the timed run measures steady state.
                 cluster.run_plan(build(10_000))
-            # Gauge values survive across reset() as a baseline: the
-            # connection gauge was built up during warm-up, and reset()
-            # zeroes it, so the steady-state count is pre-reset value
-            # plus whatever delta the timed region adds.
-            open_conns_warm = cluster.metrics.gauges_snapshot().get(
-                GAUGE_NET_OPEN_CONNECTIONS, 0.0
-            )
             cluster.metrics.reset()
             start = time.perf_counter()
             done = 0
@@ -667,9 +632,6 @@ def transport_coordination(
                 groups += 1
             wall_s = time.perf_counter() - start
             counters = cluster.metrics.counters_snapshot()
-            open_conns = open_conns_warm + cluster.metrics.gauges_snapshot().get(
-                GAUGE_NET_OPEN_CONNECTIONS, 0.0
-            )
             latencies: List[float] = []
             for name in cluster.metrics.snapshot()["histograms"]:
                 if name.startswith(HIST_NET_CALL_LATENCY + "."):
@@ -681,7 +643,7 @@ def transport_coordination(
         launch_bytes = counters.get(COUNT_NET_LAUNCH_BYTES_SENT, 0.0)
         return {
             "transport": transport,
-            "workload": "raw" if raw else ("steady" if steady else "sweep"),
+            "workload": "steady" if steady else "sweep",
             "templates": "on" if templates_on else "off",
             "group_size": group_size,
             "batches": batches,
@@ -708,11 +670,6 @@ def transport_coordination(
             "stage_cache_hits": counters.get(COUNT_STAGE_CACHE_HIT, 0.0),
             "stage_cache_misses": counters.get(COUNT_STAGE_CACHE_MISS, 0.0),
             "compression": conf.transport.data_plane.compression,
-            # Raw-speed tier (zero on rows that run with it off).
-            "shm_hits": counters.get(COUNT_SHM_HITS, 0.0),
-            "shm_fallbacks": counters.get(COUNT_SHM_FALLBACKS, 0.0),
-            "block_encode_ms": counters.get(COUNT_BLOCKS_ENCODE_MS, 0.0),
-            "open_connections": open_conns,
             # Execution-template tier (driver-side launch bytes only).
             "launch_bytes_sent": launch_bytes,
             "launch_bytes_per_group": launch_bytes / groups if groups else 0.0,
@@ -733,115 +690,6 @@ def transport_coordination(
         for group_size in template_group_sizes:
             for templates_on in (False, True):
                 rows.append(run_one("tcp", group_size, templates_on, steady=True))
-        # Raw-speed rows, also tcp-only: record blocks + shm shuffle +
-        # async transport all target the wire/process-boundary cost the
-        # inproc transport does not pay in the first place.
-        for group_size in raw_group_sizes:
-            rows.append(
-                run_one("tcp", group_size, False, steady=False, raw=True)
-            )
-    return rows
-
-
-def connection_scaling(
-    counts: Sequence[int] = (64, 256, 1024),
-    probes: int = 200,
-) -> List[Dict]:
-    """Idle-connection cost of the threaded vs the event-loop server.
-
-    The threaded :class:`~repro.net.server.MessageServer` dedicates one
-    daemon thread to every accepted connection for its whole lifetime;
-    the :class:`~repro.net.aio.AsyncMessageServer` parks idle
-    connections on one event loop and only borrows a pool thread while
-    bytes are in flight.  This experiment opens N connections, exchanges
-    one echo on each (so every connection is established and, on the
-    async server, has been activated and parked once), lets them sit
-    idle, and reports how many Python threads exist to hold them — plus
-    request latency percentiles on one connection while the other N-1
-    idle, to show the parked crowd does not tax the hot path.  The
-    threaded server's thread count is O(N); the async server's stays
-    flat at the loop + pool, which is what lets it hold thousands of
-    open connections (acceptance floor: 1000+).
-    """
-    import socket
-    import threading
-    import time
-
-    from repro.common.metrics import MetricsRegistry
-    from repro.common.stats import percentile
-    from repro.net.aio import AsyncMessageServer
-    from repro.net.framing import (
-        KIND_REQUEST,
-        encode_frame,
-        read_frame,
-    )
-    from repro.net.server import MessageServer
-
-    def echo(payload: bytes) -> bytes:
-        return payload
-
-    def exchange(sock: socket.socket, payload: bytes) -> None:
-        sock.sendall(encode_frame(KIND_REQUEST, payload))
-        kind, body = read_frame(sock)
-        if kind != 2 or body != payload:  # KIND_RESPONSE
-            raise RuntimeError("echo mismatch")
-
-    rows: List[Dict] = []
-    for server_kind, server_cls in (
-        ("threaded", MessageServer),
-        ("async", AsyncMessageServer),
-    ):
-        for n in counts:
-            metrics = MetricsRegistry()
-            threads_before = threading.active_count()
-            server = server_cls(echo, metrics, name="connscale")
-            conns: List[socket.socket] = []
-            try:
-                for _ in range(n):
-                    sock = socket.create_connection(server.address, timeout=10)
-                    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                    exchange(sock, b"hello")
-                    conns.append(sock)
-                # Let the async server park every activated connection
-                # (its linger is 20 ms) so the count below is the idle
-                # steady state, not a transient of pool threads.
-                time.sleep(0.1)
-                idle_threads = threading.active_count() - threads_before
-                latencies: List[float] = []
-                hot = conns[0]
-                for _ in range(probes):
-                    t0 = time.perf_counter()
-                    exchange(hot, b"probe")
-                    latencies.append((time.perf_counter() - t0) * 1e6)
-                rows.append(
-                    {
-                        "server": server_kind,
-                        "connections": n,
-                        "threads_for_idle_conns": idle_threads,
-                        "rpc_p50_us": percentile(latencies, 50),
-                        "rpc_p95_us": percentile(latencies, 95),
-                        "open_connections_gauge": metrics.gauges_snapshot().get(
-                            "net.open_connections", 0.0
-                        ),
-                    }
-                )
-            finally:
-                for sock in conns:
-                    try:
-                        sock.close()
-                    except OSError:
-                        pass
-                server.close()
-                # Wait for this server's connection/pool threads to die
-                # before the next iteration samples threads_before —
-                # stragglers exiting mid-measurement would otherwise
-                # skew (even negative) the next delta.
-                deadline = time.monotonic() + 5.0
-                while (
-                    threading.active_count() > threads_before
-                    and time.monotonic() < deadline
-                ):
-                    time.sleep(0.01)
     return rows
 
 

@@ -100,7 +100,7 @@ def _git_sha() -> str:
 def bench_environment() -> Dict[str, Any]:
     """Machine/config fingerprint embedded in every ``BENCH_*.json``.
 
-    Checked-in benchmark numbers are only comparable on the same machine
+    Saved benchmark numbers are only comparable on the same machine
     with the same transport knobs; recording ``cpu_count``, the
     (env-resolved) :class:`~repro.common.config.TransportConf` defaults,
     and the git SHA makes a stale or cross-machine baseline visible
@@ -165,7 +165,7 @@ _BASELINE_KEY_FIELDS = (
 
 
 def load_baseline_rows(name: str, baseline_path: str) -> Optional[List[Dict]]:
-    """Read the structured rows out of a checked-in ``BENCH_<name>.json``.
+    """Read the structured rows out of a saved ``BENCH_<name>.json``.
 
     ``baseline_path`` may be the JSON file itself or a directory holding
     it.  Returns None when the file or its ``payload.rows`` is absent.

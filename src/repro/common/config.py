@@ -8,7 +8,6 @@ eagerly, in ``validate`` (called by the cluster constructors).
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import MISSING as _MISSING
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
@@ -181,23 +180,6 @@ def _env_flag(name: str) -> bool:
     return os.environ.get(name, "").strip().lower() in ("1", "true", "on", "yes")
 
 
-def _default_record_blocks() -> bool:
-    # REPRO_RECORD_BLOCKS=1 turns on columnar record blocks for a whole
-    # pytest or bench run, mirroring REPRO_TEMPLATES / REPRO_TRANSPORT.
-    return _env_flag("REPRO_RECORD_BLOCKS")
-
-
-def _default_shm_shuffle() -> bool:
-    # REPRO_SHM_SHUFFLE=1 arms the shared-memory shuffle fast path.
-    return _env_flag("REPRO_SHM_SHUFFLE")
-
-
-def _default_async_io() -> bool:
-    # REPRO_NET_ASYNC=1 swaps the thread-per-connection MessageServer for
-    # the asyncio event-loop server (repro.net.aio).
-    return _env_flag("REPRO_NET_ASYNC")
-
-
 @dataclass
 class DataPlaneConf:
     """Wire-level data-plane knobs (see "Data plane" in
@@ -220,17 +202,6 @@ class DataPlaneConf:
     # Serialized stage closures cached per transport, keyed by content
     # digest; 0 disables the cache and ships full plans in every launch.
     stage_blob_cache_entries: int = 64
-    # Columnar record blocks (repro.data.blocks): shuffle buckets whose
-    # keys/values are uniform ints/floats travel and aggregate as typed
-    # arrays instead of List[tuple] — zero pickle on the fast shape.
-    record_blocks: bool = field(default_factory=_default_record_blocks)
-    # Shared-memory shuffle (repro.data.shm): co-located peers read map
-    # outputs from multiprocessing.shared_memory segments instead of a
-    # fetch_buckets RPC, falling back to the wire transparently.
-    shm_shuffle: bool = field(default_factory=_default_shm_shuffle)
-    # Event-loop server (repro.net.aio): one asyncio loop thread per
-    # transport instead of a thread per accepted connection.
-    async_io: bool = field(default_factory=_default_async_io)
 
     def validate(self) -> None:
         if self.max_concurrent_fetches < 1:
@@ -569,10 +540,6 @@ class EngineConf:
     # Checkpoint every N micro-batches; group boundaries are the natural
     # choice (§3.3), so this defaults to 0 meaning "at group boundaries".
     checkpoint_interval_batches: int = 0
-    # Deprecated aliases for monitor.heartbeat_*; non-None values are
-    # copied into ``monitor`` by validate() with a DeprecationWarning.
-    heartbeat_interval_s: Optional[float] = None
-    heartbeat_timeout_s: Optional[float] = None
     # Map-side partial aggregation (§3.5) for reduce_by_key.
     map_side_combine: bool = True
     # Reuse map outputs from earlier micro-batches during recovery (§3.3).
@@ -609,24 +576,6 @@ class EngineConf:
             raise ConfigError("group_size must be >= 1")
         if self.checkpoint_interval_batches < 0:
             raise ConfigError("checkpoint_interval_batches must be >= 0")
-        if self.heartbeat_interval_s is not None:
-            warnings.warn(
-                "EngineConf.heartbeat_interval_s is deprecated; use "
-                "EngineConf(monitor=MonitorConf(heartbeat_interval_s=...))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            self.monitor.heartbeat_interval_s = self.heartbeat_interval_s
-            self.heartbeat_interval_s = None
-        if self.heartbeat_timeout_s is not None:
-            warnings.warn(
-                "EngineConf.heartbeat_timeout_s is deprecated; use "
-                "EngineConf(monitor=MonitorConf(heartbeat_timeout_s=...))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            self.monitor.heartbeat_timeout_s = self.heartbeat_timeout_s
-            self.heartbeat_timeout_s = None
         if self.stage_timeout_s is not None and self.stage_timeout_s <= 0:
             raise ConfigError("stage_timeout_s must be positive (or None)")
         if self.max_task_retries < 1:

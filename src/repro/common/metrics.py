@@ -318,21 +318,6 @@ COUNT_TEMPLATE_MISS = "templates.miss"
 COUNT_TEMPLATE_INVALIDATED = "templates.invalidated"
 COUNT_NET_TEMPLATE_BYTES_SAVED = "net.template_bytes_saved"
 COUNT_NET_LAUNCH_BYTES_SENT = "net.launch_bytes_sent"
-# Raw-speed data plane (see "Raw speed" in docs/networking.md).
-# net.shm_hits counts map outputs a reducer read straight out of a
-# shared-memory segment instead of a fetch_buckets round trip;
-# net.shm_fallbacks counts shm lookups that missed and went to the wire.
-# blocks.encoded/decoded count RecordBlocks that crossed a boundary in
-# columnar (header + raw buffer) form; blocks.encode_ms accumulates the
-# wall time spent in that encode path so the bench can report it.
-COUNT_SHM_HITS = "net.shm_hits"
-COUNT_SHM_FALLBACKS = "net.shm_fallbacks"
-COUNT_BLOCKS_ENCODED = "blocks.encoded"
-COUNT_BLOCKS_DECODED = "blocks.decoded"
-COUNT_BLOCKS_ENCODE_MS = "blocks.encode_ms"
-# Event-loop server (repro.net.aio): connections currently accepted and
-# held open by the async server (a gauge, sampled by the bench).
-GAUGE_NET_OPEN_CONNECTIONS = "net.open_connections"
 # Fault injection (repro.chaos): every fault the injector fires counts
 # once here and once on a per-kind counter named "chaos.<kind>"
 # (e.g. "chaos.worker_kill") — a prefix family like net.call_latency.

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Tuple
 
-from repro.data.blocks import RecordBlock
-
 KV = Tuple[Any, Any]
 
 
@@ -67,9 +65,6 @@ def merge_combiners_iter(
     """Reduce-side merge of already-combined (key, combiner) streams."""
     merged: Dict[Any, Any] = {}
     for stream in streams:
-        if isinstance(stream, RecordBlock):
-            stream.reduce_into(merged, agg.merge_combiners)
-            continue
         for key, comb in stream:
             if key in merged:
                 merged[key] = agg.merge_combiners(merged[key], comb)
@@ -86,9 +81,6 @@ def reduce_values_iter(
     of Figure 6, as opposed to the reduceby configuration of Figure 8)."""
     merged: Dict[Any, Any] = {}
     for stream in streams:
-        if isinstance(stream, RecordBlock):
-            stream.reduce_into(merged, agg.merge_value, agg.create_combiner)
-            continue
         for key, value in stream:
             if key in merged:
                 merged[key] = agg.merge_value(merged[key], value)
@@ -101,9 +93,6 @@ def group_values_iter(streams: Iterable[Iterable[KV]]) -> Iterator[KV]:
     """Reduce-side grouping for group_by_key: (key, [values...])."""
     grouped: Dict[Any, List[Any]] = {}
     for stream in streams:
-        if isinstance(stream, RecordBlock):
-            stream.group_into(grouped)
-            continue
         for key, value in stream:
             grouped.setdefault(key, []).append(value)
     return iter(grouped.items())

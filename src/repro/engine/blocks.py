@@ -6,17 +6,6 @@ store is an in-memory dict per worker.  Blocks are keyed by
 partition.  Losing a worker loses its store — exactly the failure mode the
 paper's recovery protocol handles.
 
-Two raw-speed options ride on top (see "Raw speed" in
-``docs/networking.md``):
-
-* ``record_blocks`` stores each bucket as a columnar
-  :class:`~repro.data.blocks.RecordBlock` instead of ``List[tuple]``, so
-  buckets cross process/socket boundaries as raw column buffers;
-* ``shm_shuffle`` additionally publishes every map output into a
-  ``multiprocessing.shared_memory`` segment via the process-global
-  :class:`~repro.data.shm.SegmentRegistry`, letting co-located reducers
-  skip the ``fetch_buckets`` RPC entirely.
-
 Every block also carries the *epoch* (producing task attempt) it was
 written under: a re-run of a map task publishes a higher epoch, and
 readers that require a minimum epoch treat older co-named blocks as
@@ -26,18 +15,11 @@ missing rather than silently serving stale data.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.injector import chaos_hit
 from repro.chaos.plan import SITE_BLOCKS_FETCH
 from repro.common.errors import FetchFailed
-from repro.common.metrics import (
-    COUNT_BLOCKS_ENCODE_MS,
-    COUNT_BLOCKS_ENCODED,
-    MetricsRegistry,
-)
-from repro.data.blocks import RecordBlock, to_record_block
 
 BlockKey = Tuple[int, int, int]  # (job_id, shuffle_id, map_index)
 
@@ -50,52 +32,12 @@ BUCKET_MISSING = "missing"
 class BlockStore:
     """Thread-safe map-output storage for one worker."""
 
-    def __init__(
-        self,
-        worker_id: str,
-        record_blocks: bool = False,
-        shm_shuffle: bool = False,
-        metrics: Optional[MetricsRegistry] = None,
-    ):
+    def __init__(self, worker_id: str):
         self.worker_id = worker_id
-        self.record_blocks = record_blocks
-        self.metrics = metrics
-        # Bound the hot-path counters once: put_map_output runs per task,
-        # and the name->counter lookup takes the registry lock each time.
-        self._c_encoded = (
-            metrics.counter(COUNT_BLOCKS_ENCODED) if metrics else None
-        )
-        self._c_encode_ms = (
-            metrics.counter(COUNT_BLOCKS_ENCODE_MS) if metrics else None
-        )
         self._blocks: Dict[BlockKey, Dict[int, List]] = {}
         self._epochs: Dict[BlockKey, int] = {}
         self._records = 0
         self._lock = threading.Lock()
-        self._shm = None
-        if shm_shuffle:
-            from repro.data.shm import segment_registry
-
-            registry = segment_registry()
-            if registry.available:
-                self._shm = registry
-                registry.attach()
-
-    @property
-    def shm(self):
-        """The process-global segment registry, or None when the shm
-        shuffle is off (readers use this to probe for co-located blocks)."""
-        return self._shm
-
-    def release_shm(self) -> None:
-        """Unlink every segment this store published (worker kill or
-        shutdown): a dead machine's blocks must be unreachable so §3.3
-        recovery triggers instead of peers reading ghost data.  Detaching
-        the last store also drains the registry's free pool."""
-        if self._shm is not None:
-            registry, self._shm = self._shm, None
-            registry.drop_owner(self.worker_id)
-            registry.detach()
 
     @staticmethod
     def _block_records(buckets: Dict[int, List]) -> int:
@@ -109,20 +51,6 @@ class BlockStore:
         buckets: Dict[int, List],
         epoch: int = 0,
     ) -> None:
-        if self.record_blocks and buckets:
-            start = time.perf_counter()
-            buckets = {
-                r: to_record_block(bucket) for r, bucket in buckets.items()
-            }
-            if self._c_encoded is not None:
-                self._c_encoded.add(
-                    sum(
-                        1
-                        for b in buckets.values()
-                        if isinstance(b, RecordBlock) and b.is_typed
-                    )
-                )
-                self._c_encode_ms.add((time.perf_counter() - start) * 1000.0)
         key = (job_id, shuffle_id, map_index)
         with self._lock:
             prior = self._blocks.get(key)
@@ -131,13 +59,6 @@ class BlockStore:
             self._blocks[key] = buckets
             self._epochs[key] = epoch
             self._records += self._block_records(buckets)
-        if self._shm is not None:
-            start = time.perf_counter()
-            self._shm.publish(
-                self.worker_id, job_id, shuffle_id, map_index, buckets, epoch
-            )
-            if self._c_encode_ms is not None:
-                self._c_encode_ms.add((time.perf_counter() - start) * 1000.0)
 
     def has_map_output(
         self, job_id: int, shuffle_id: int, map_index: int, min_epoch: int = 0
@@ -204,16 +125,13 @@ class BlockStore:
         """Chaos hook: delete the looked-up block so the caller observes a
         missing map output (the disk-loss failure mode of §3.3).  Called
         under ``self._lock``; the only scheduled kind at this site is
-        ``block_delete``.  The block's shared-memory segment is unlinked
-        too — the shm fast path must not serve a block chaos destroyed."""
+        ``block_delete``."""
         if chaos_hit(SITE_BLOCKS_FETCH, target=self.worker_id) is None:
             return
         buckets = self._blocks.pop(key, None)
         self._epochs.pop(key, None)
         if buckets is not None:
             self._records -= self._block_records(buckets)
-            if self._shm is not None:
-                self._shm.unpublish(self.worker_id, *key)
 
     def bucket_sizes(
         self, job_id: int, shuffle_id: int, map_index: int
@@ -239,8 +157,6 @@ class BlockStore:
                 self._records -= self._block_records(self._blocks[k])
                 del self._blocks[k]
                 self._epochs.pop(k, None)
-        if self._shm is not None:
-            self._shm.drop_job(self.worker_id, job_id)
         return len(doomed)
 
     def clear(self) -> None:
@@ -248,8 +164,6 @@ class BlockStore:
             self._blocks.clear()
             self._epochs.clear()
             self._records = 0
-        if self._shm is not None:
-            self._shm.drop_owner(self.worker_id)
 
     def __len__(self) -> int:
         with self._lock:

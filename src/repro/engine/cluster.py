@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import tempfile
 import threading
-import warnings
 from typing import Any, List, Optional, Sequence
 
 from repro.chaos.injector import ChaosInjector, install, uninstall
@@ -45,27 +44,8 @@ class LocalCluster:
         self,
         conf: Optional[EngineConf] = None,
         clock: Optional[Clock] = None,
-        enable_heartbeats: Optional[bool] = None,
-        rpc_latency_s: Optional[float] = None,
     ):
         self.conf = conf or EngineConf()
-        # Deprecated kwargs, folded into the conf for one release.
-        if enable_heartbeats is not None:
-            warnings.warn(
-                "LocalCluster(enable_heartbeats=...) is deprecated; use "
-                "EngineConf(monitor=MonitorConf(enable_heartbeats=...))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            self.conf.monitor.enable_heartbeats = bool(enable_heartbeats)
-        if rpc_latency_s is not None:
-            warnings.warn(
-                "LocalCluster(rpc_latency_s=...) is deprecated; use "
-                "EngineConf(transport=TransportConf(rpc_latency_s=...))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            self.conf.transport.rpc_latency_s = rpc_latency_s
         self.conf.validate()
         self.clock = clock or WallClock()
         self.metrics = MetricsRegistry(self.clock)

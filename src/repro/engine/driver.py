@@ -175,18 +175,6 @@ class Driver:
         self.journal = None
         self.session_epoch = 0
         transport.register(DRIVER_ID, self)
-        if conf.transport.data_plane.shm_shuffle:
-            # Join the shm co-location directory (repro.data.shm): workers
-            # that share this address space hand completion reports over
-            # by direct call instead of a wire RPC — the control-plane
-            # analogue of reading a shuffle bucket out of the segment
-            # rather than fetching it.  Remote workers never see this
-            # entry and keep the transport path.
-            from repro.data.shm import segment_registry
-
-            registry = segment_registry()
-            if registry.available:
-                registry.register_peer(DRIVER_ID, self)
 
     # ------------------------------------------------------------------
     # Cluster membership
@@ -268,10 +256,6 @@ class Driver:
         if self._launch_pool is not None:
             self._launch_pool.shutdown(wait=False)
             self._launch_pool = None
-        if self.conf.transport.data_plane.shm_shuffle:
-            from repro.data.shm import segment_registry
-
-            segment_registry().unregister_peer(DRIVER_ID)
 
     def start_speculation(self) -> None:
         """Launch the straggler-mitigation monitor (SpeculationConf)."""

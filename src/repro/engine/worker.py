@@ -40,8 +40,6 @@ from repro.common.metrics import (
     COUNT_HA_FENCED,
     COUNT_HA_PARKED_REPORTS,
     COUNT_NET_FETCH_BATCHES,
-    COUNT_SHM_FALLBACKS,
-    COUNT_SHM_HITS,
     COUNT_TELEMETRY_RECORDS,
     COUNT_TELEMETRY_TASKS,
     GAUGE_TELEMETRY_BACKLOG,
@@ -118,17 +116,7 @@ class Worker:
         self.metrics = metrics
         self.clock = clock or WallClock()
         self.tracer = tracer if tracer is not None else NULL_RECORDER
-        data_plane = conf.transport.data_plane
-        self.blocks = BlockStore(
-            worker_id,
-            record_blocks=data_plane.record_blocks,
-            shm_shuffle=data_plane.shm_shuffle,
-            metrics=metrics,
-        )
-        # Reader half of the shm shuffle: the same process-global segment
-        # registry the peers' block stores publish into (None when the
-        # fast path is off or shared memory is unavailable).
-        self._shm = self.blocks.shm
+        self.blocks = BlockStore(worker_id)
         self.enable_heartbeats = (
             conf.monitor.enable_heartbeats
             if enable_heartbeats is None
@@ -194,11 +182,6 @@ class Worker:
     # ------------------------------------------------------------------
     def start(self) -> None:
         self.transport.register(self.worker_id, self)
-        if self._shm is not None:
-            # Join the co-location directory: shuffle metadata from peers
-            # in this process is delivered by direct call (see
-            # _notify_downstream) for as long as we stay registered.
-            self._shm.register_peer(self.worker_id, self)
         if self.enable_heartbeats:
             self._stop_hb.clear()
             self._hb_thread = threading.Thread(
@@ -225,14 +208,6 @@ class Worker:
             self._state_shards.clear()
         if self.templates is not None:
             self.templates.invalidate_all()
-        # A crashed machine's shared-memory segments must vanish with it:
-        # co-located readers fall back to the wire, observe WorkerLost,
-        # and §3.3 recovery proceeds exactly as without shm.  Leaving the
-        # peer directory first routes in-flight notifies to the transport,
-        # where they fail like any message to a dead machine.
-        if self._shm is not None:
-            self._shm.unregister_peer(self.worker_id)
-        self.blocks.release_shm()
         self._stop_hb.set()
         self._stop_tel.set()
         if self._fetch_pool is not None:
@@ -242,13 +217,7 @@ class Worker:
     def shutdown(self) -> None:
         self._stop_hb.set()
         self._stop_tel.set()
-        if self._shm is not None:
-            self._shm.unregister_peer(self.worker_id)
         self._backend.shutdown(wait=True)
-        # Only after the backend drained: an in-flight task finishing
-        # during the wait would re-publish its map output into shared
-        # memory and leak the segment past the release.
-        self.blocks.release_shm()
         if self._fetch_pool is not None:
             self._fetch_pool.shutdown(wait=False)
 
@@ -715,17 +684,6 @@ class Worker:
         must never wedge its executor thread (or ``shutdown(wait=True)``)
         behind a driver that stays dead; past it, lineage re-execution
         covers the loss exactly as before."""
-        shm = self.blocks.shm
-        if shm is not None and not self.is_dead:
-            peer = shm.peer(DRIVER_ID)
-            if peer is not None:
-                # Co-located driver (shm peer directory): hand the report
-                # over by direct call — no serde, no wire, and nothing to
-                # strip (a result that cannot be pickled is fine when it
-                # never crosses a process boundary, exactly as on the
-                # inproc transport).
-                peer.task_finished(report)  # type: ignore[attr-defined]
-                return
         for attempt in range(3):
             if self.is_dead:
                 return
@@ -846,25 +804,12 @@ class Worker:
         if not desc.downstream:
             return
         job_id = desc.task_id.job_id
-        shm = self.blocks.shm
         for target in sorted(set(desc.downstream.values())):
             if target == self.worker_id:
                 self.notify_output(
                     job_id, shuffle_id, map_index, self.worker_id, epoch
                 )
             else:
-                if shm is not None:
-                    # Co-location short-circuit: the peer will read the
-                    # block straight out of shared memory, so the metadata
-                    # that wakes it need not cross the wire either.  A
-                    # dead or remote peer is not in the directory and
-                    # falls through to the transport path below.
-                    peer = shm.peer(target)
-                    if peer is not None and not peer.is_dead:  # type: ignore[attr-defined]
-                        peer.notify_output(  # type: ignore[attr-defined]
-                            job_id, shuffle_id, map_index, self.worker_id, epoch
-                        )
-                        continue
                 delivered = self.transport.try_call(
                     target,
                     "notify_output",
@@ -960,37 +905,6 @@ class Worker:
                 partition,
                 min_epochs[(shuffle_id, map_index)],
             )
-        shm_hits = 0
-        if by_peer and self._shm is not None:
-            # Shared-memory fast path: a peer whose segment registry entry
-            # is visible from this process is co-located by construction —
-            # read the bucket straight out of the mapped segment and skip
-            # the fetch RPC.  Any miss (not co-located, dropped block,
-            # stale epoch) falls through to the ordinary wire fetch.
-            for peer in list(by_peer):
-                still_remote: List[DepKey] = []
-                for dep in by_peer[peer]:
-                    shuffle_id, map_index = dep
-                    block = self._shm.read_bucket(
-                        peer,
-                        job_id,
-                        shuffle_id,
-                        map_index,
-                        partition,
-                        min_epochs[dep],
-                    )
-                    if block is None:
-                        still_remote.append(dep)
-                    else:
-                        buckets[dep] = block
-                        shm_hits += 1
-                if still_remote:
-                    self.metrics.counter(COUNT_SHM_FALLBACKS).add(len(still_remote))
-                    by_peer[peer] = still_remote
-                else:
-                    del by_peer[peer]
-            if shm_hits:
-                self.metrics.counter(COUNT_SHM_HITS).add(shm_hits)
         if by_peer:
             for peer_buckets in self._fetch_remote(
                 job_id, partition, by_peer, min_epochs

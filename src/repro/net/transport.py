@@ -209,14 +209,7 @@ class TcpTransport(BaseTransport):
         # template metadata with a launch (the driver gates that on
         # TemplateConf.enabled), and an idle sender is two empty dicts.
         self._template_sender = TemplateSender()
-        server_cls = MessageServer
-        if dp.async_io:
-            # Event-loop server (docs/networking.md "Raw speed"): same
-            # framing and crash model, idle connections cost no threads.
-            from repro.net.aio import AsyncMessageServer
-
-            server_cls = AsyncMessageServer
-        self.server = server_cls(
+        self.server = MessageServer(
             self._handle_raw,
             self.metrics,
             name=name,

@@ -12,9 +12,6 @@ from __future__ import annotations
 from repro.common.metrics import (
     CHAOS_KIND_PREFIX,
     COUNT_BATCHES_EXECUTED,
-    COUNT_BLOCKS_DECODED,
-    COUNT_BLOCKS_ENCODE_MS,
-    COUNT_BLOCKS_ENCODED,
     COUNT_CHAOS_INJECTED,
     COUNT_CHAOS_SUPPRESSED,
     COUNT_CHECKPOINTS,
@@ -48,8 +45,6 @@ from repro.common.metrics import (
     COUNT_NET_TEMPLATE_BYTES_SAVED,
     COUNT_RECOVERIES,
     COUNT_RPC_MESSAGES,
-    COUNT_SHM_FALLBACKS,
-    COUNT_SHM_HITS,
     COUNT_SLO_VIOLATIONS,
     COUNT_SPECULATIVE,
     COUNT_STAGE_CACHE_HIT,
@@ -62,7 +57,6 @@ from repro.common.metrics import (
     COUNT_TELEMETRY_RECORDS,
     COUNT_TELEMETRY_TASKS,
     GAUGE_HA_WAL_LAG,
-    GAUGE_NET_OPEN_CONNECTIONS,
     GAUGE_TELEMETRY_BACKLOG,
     GAUGE_TELEMETRY_STREAM_BACKLOG,
     HIST_MIGRATION_WALL,
@@ -176,12 +170,6 @@ METRIC_NAMES = frozenset(
         COUNT_TEMPLATE_INVALIDATED,
         COUNT_NET_TEMPLATE_BYTES_SAVED,
         COUNT_NET_LAUNCH_BYTES_SENT,
-        COUNT_SHM_HITS,
-        COUNT_SHM_FALLBACKS,
-        COUNT_BLOCKS_ENCODED,
-        COUNT_BLOCKS_DECODED,
-        COUNT_BLOCKS_ENCODE_MS,
-        GAUGE_NET_OPEN_CONNECTIONS,
         COUNT_CHAOS_INJECTED,
         COUNT_CHAOS_SUPPRESSED,
         HIST_TELEMETRY_QUEUE_DELAY,

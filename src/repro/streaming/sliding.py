@@ -52,12 +52,7 @@ class SlidingWindowAggregator:
         self, batch_index: int, pairs: List[Tuple[Any, Any]]
     ) -> Optional[List[Tuple[Any, Any]]]:
         """Record one batch's aggregate; returns the merged window when the
-        slide boundary is reached, else None.
-
-        ``pairs`` may be a plain list or a columnar
-        :class:`~repro.data.blocks.RecordBlock` — both iterate as
-        ``(key, value)`` tuples, so ``dict(pairs)`` normalises either.
-        """
+        slide boundary is reached, else None."""
         batches: List[Tuple[int, Dict[Any, Any]]] = self.store.get(_BATCHES_KEY, [])
         # Replay safety: a re-delivered batch replaces its old aggregate.
         batches = [(b, d) for (b, d) in batches if b != batch_index]

@@ -13,7 +13,6 @@ import time
 import pytest
 
 from repro.common.config import EngineConf, SchedulingMode
-from repro.data.shm import live_segments
 from repro.engine.cluster import LocalCluster
 from repro.net.server import live_servers
 
@@ -21,12 +20,10 @@ from repro.net.server import live_servers
 @pytest.fixture(autouse=True)
 def no_leaked_executors():
     """Fail any test that leaves stray non-daemon threads, live child
-    processes, open tcp-transport servers, or published shared-memory
-    shuffle segments behind (leaked executor backends, forgotten
-    shutdowns, unclosed transports, unreleased shm publications)."""
+    processes, or open tcp-transport servers behind (leaked executor
+    backends, forgotten shutdowns, unclosed transports)."""
     before = {t for t in threading.enumerate() if not t.daemon}
     servers_before = set(live_servers())
-    segments_before = set(live_segments())
     yield
     deadline = time.monotonic() + 5.0
     while time.monotonic() < deadline:
@@ -37,14 +34,12 @@ def no_leaked_executors():
         ]
         children = multiprocessing.active_children()
         servers = [s for s in live_servers() if s not in servers_before]
-        segments = [s for s in live_segments() if s not in segments_before]
-        if not threads and not children and not servers and not segments:
+        if not threads and not children and not servers:
             return
         time.sleep(0.05)
     leaks = [f"thread {t.name!r}" for t in threads]
     leaks += [f"process pid={p.pid}" for p in children]
     leaks += [f"server {s.address}" for s in servers]
-    leaks += [f"shm segment {name}" for name in segments]
     pytest.fail(f"test leaked executor resources: {', '.join(leaks)}")
 
 

@@ -5,7 +5,13 @@ import threading
 import pytest
 
 from repro.common.clock import ManualClock, WallClock
-from repro.common.config import EngineConf, SchedulingMode, TracingConf, TunerConf
+from repro.common.config import (
+    EngineConf,
+    MonitorConf,
+    SchedulingMode,
+    TracingConf,
+    TunerConf,
+)
 from repro.common.errors import ConfigError
 from repro.common.metrics import MetricsRegistry
 
@@ -197,8 +203,12 @@ class TestEngineConf:
             {"slots_per_worker": 0},
             {"group_size": 0},
             {"checkpoint_interval_batches": -1},
-            {"heartbeat_interval_s": 0},
-            {"heartbeat_interval_s": 1.0, "heartbeat_timeout_s": 0.5},
+            {"monitor": MonitorConf(heartbeat_interval_s=0)},
+            {
+                "monitor": MonitorConf(
+                    heartbeat_interval_s=1.0, heartbeat_timeout_s=0.5
+                )
+            },
         ],
     )
     def test_invalid_rejected(self, kwargs):

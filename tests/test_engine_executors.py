@@ -1,10 +1,9 @@
 """Executor backends: selection, serialization boundary, conf round-trip,
-deprecated-kwarg aliases, and resource cleanup."""
+and resource cleanup."""
 
 import multiprocessing
 import pickle
 import threading
-import warnings
 
 import pytest
 
@@ -196,33 +195,6 @@ class TestConfRoundTrip:
     def test_bad_scheduling_mode_rejected(self):
         with pytest.raises(ConfigError, match="drizzle"):
             EngineConf.from_dict({"scheduling_mode": "warp-speed"})
-
-
-class TestDeprecatedAliases:
-    def test_cluster_kwargs_warn_and_apply(self):
-        with pytest.warns(DeprecationWarning, match="enable_heartbeats"):
-            with LocalCluster(
-                EngineConf(num_workers=1, slots_per_worker=1),
-                enable_heartbeats=False,
-            ) as cluster:
-                assert cluster.conf.monitor.enable_heartbeats is False
-
-        with pytest.warns(DeprecationWarning, match="rpc_latency_s"):
-            with LocalCluster(
-                EngineConf(num_workers=1, slots_per_worker=1), rpc_latency_s=0.0
-            ) as cluster:
-                assert cluster.transport.latency_s == 0.0
-
-    def test_engine_conf_heartbeat_aliases_warn_and_copy(self):
-        conf = EngineConf(heartbeat_interval_s=0.02, heartbeat_timeout_s=0.2)
-        with pytest.warns(DeprecationWarning, match="heartbeat_interval_s"):
-            conf.validate()
-        assert conf.monitor.heartbeat_interval_s == 0.02
-        assert conf.monitor.heartbeat_timeout_s == 0.2
-        # Aliases are consumed: a second validate is warning-free.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            conf.validate()
 
 
 class TestBackendParityExtras:

@@ -210,6 +210,31 @@ class TestBlockStore:
             (BUCKET_OK, []),  # present block, empty reduce partition
         ]
 
+    def test_stale_epoch_block_is_missing_until_rewritten(self):
+        store = BlockStore("w0")
+        store.put_map_output(0, 10, 0, {0: [1]}, epoch=1)
+        store.put_map_output(0, 10, 1, {0: [2]}, epoch=2)
+        assert store.get_bucket(0, 10, 0, 0) == [1]
+        assert store.get_bucket(0, 10, 0, 0, min_epoch=1) == [1]
+        assert store.has_map_output(0, 10, 0, min_epoch=1)
+        # A consumer that requires the re-run must never be served the
+        # superseded attempt's co-named block.
+        with pytest.raises(FetchFailed):
+            store.get_bucket(0, 10, 0, 0, min_epoch=2)
+        assert not store.has_map_output(0, 10, 0, min_epoch=2)
+        requests = [(10, 0, 0, 2), (10, 1, 0, 2)]
+        assert store.get_buckets(0, requests) == [
+            (BUCKET_MISSING, None),
+            (BUCKET_OK, [2]),
+        ]
+        store.put_map_output(0, 10, 0, {0: [9]}, epoch=2)
+        assert store.get_bucket(0, 10, 0, 0, min_epoch=2) == [9]
+        assert store.has_map_output(0, 10, 0, min_epoch=2)
+        assert store.get_buckets(0, requests) == [
+            (BUCKET_OK, [9]),
+            (BUCKET_OK, [2]),
+        ]
+
     def test_concurrent_put_and_get(self):
         store = BlockStore("w0")
         errors = []

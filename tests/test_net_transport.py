@@ -5,8 +5,10 @@ propagation, wire metrics, and trace-context activation."""
 
 import pickle
 import socket
+import struct
 import threading
 import time
+import zlib
 
 import pytest
 
@@ -36,7 +38,26 @@ from repro.net import (
     encode_frame,
     read_frame,
 )
-from repro.net.framing import HEADER, KIND_REQUEST, KIND_RESPONSE, MAGIC, VERSION
+from repro.net.framing import (
+    FLAG_ZLIB,
+    HEADER,
+    KIND_REQUEST,
+    KIND_RESPONSE,
+    MAGIC,
+    VERSION,
+    read_frame_ex,
+)
+
+# Golden wire fixtures.  These byte strings are the protocol contract:
+# if either changes, old and new binaries stop interoperating.
+# Version-1 (flagless) request: magic, version=1, kind=request, length.
+GOLDEN_V1_REQUEST = b"RN\x01\x01\x00\x00\x00\x04ping"
+# Version-2 (flagged) request carrying a zlib payload: magic, version=2,
+# kind=request, flags=0x01, length, then the deflate stream.
+_V2_BODY = zlib.compress(b"ping", 1)
+GOLDEN_V2_ZLIB_REQUEST = (
+    b"RN\x02\x01\x01" + struct.pack(">I", len(_V2_BODY)) + _V2_BODY
+)
 
 
 # ----------------------------------------------------------------------
@@ -151,6 +172,23 @@ def _echo_server(metrics):
     return MessageServer(lambda payload: payload, metrics, name="echo")
 
 
+def _echo_upper(payload: bytes) -> bytes:
+    return payload.upper()
+
+
+@pytest.fixture
+def upper_server():
+    server = MessageServer(_echo_upper, MetricsRegistry(), name="upper")
+    yield server
+    server.close()
+
+
+def _dial(server) -> socket.socket:
+    sock = socket.create_connection(server.address, timeout=5.0)
+    sock.settimeout(5.0)
+    return sock
+
+
 class TestPoolAndServer:
     def test_connection_reused_across_exchanges(self):
         metrics = MetricsRegistry()
@@ -211,6 +249,90 @@ class TestPoolAndServer:
         server.close()
         server.close()
         assert server.closed
+
+    def test_golden_v1_fixture_matches_encoder(self):
+        assert encode_frame(KIND_REQUEST, b"ping") == GOLDEN_V1_REQUEST
+
+    def test_golden_v2_fixture_matches_encoder(self):
+        assert (
+            encode_frame(KIND_REQUEST, _V2_BODY, FLAG_ZLIB)
+            == GOLDEN_V2_ZLIB_REQUEST
+        )
+
+    def test_v1_request_through_server(self, upper_server):
+        with _dial(upper_server) as sock:
+            sock.sendall(GOLDEN_V1_REQUEST)
+            kind, payload, flags, _wire = read_frame_ex(sock)
+        assert (kind, payload, flags) == (KIND_RESPONSE, b"PING", 0)
+
+    def test_v1_response_bytes_are_flagless(self, upper_server):
+        # Compression off: the reply must be byte-identical to the v1
+        # protocol — magic, version=1, kind=response, length, payload.
+        with _dial(upper_server) as sock:
+            sock.sendall(GOLDEN_V1_REQUEST)
+            raw = b""
+            while len(raw) < 12:
+                raw += sock.recv(12 - len(raw))
+        assert raw == b"RN\x01\x02\x00\x00\x00\x04PING"
+
+    def test_v2_compressed_request_through_server(self, upper_server):
+        with _dial(upper_server) as sock:
+            sock.sendall(GOLDEN_V2_ZLIB_REQUEST)
+            kind, payload = read_frame(sock)
+        assert (kind, payload) == (KIND_RESPONSE, b"PING")
+
+    def test_compressed_response_when_enabled(self):
+        server = MessageServer(
+            lambda p: p * 400,
+            MetricsRegistry(),
+            name="zip",
+            compression="auto",
+            compress_threshold=64,
+        )
+        try:
+            with _dial(server) as sock:
+                sock.sendall(encode_frame(KIND_REQUEST, b"abc"))
+                kind, payload, flags, wire_len = read_frame_ex(sock)
+            assert (kind, payload) == (KIND_RESPONSE, b"abc" * 400)
+            assert flags & FLAG_ZLIB
+            assert wire_len < len(payload)
+        finally:
+            server.close()
+
+    def test_bad_magic_drops_connection(self, upper_server):
+        with _dial(upper_server) as sock:
+            sock.sendall(b"XX" + GOLDEN_V1_REQUEST[2:])
+            # The server closes without reading the payload, so the peer
+            # sees either EOF or (unread bytes pending) a reset.
+            try:
+                assert sock.recv(1) == b""
+            except ConnectionResetError:
+                pass
+
+    def test_close_refuses_new_connections(self):
+        server = _echo_server(MetricsRegistry())
+        address = server.address
+        server.close()
+        assert server.closed
+        with pytest.raises(OSError):
+            socket.create_connection(address, timeout=1.0)
+
+    def test_close_resets_open_connections(self):
+        server = _echo_server(MetricsRegistry())
+        sock = _dial(server)
+        try:
+            sock.sendall(encode_frame(KIND_REQUEST, b"x"))
+            read_frame(sock)
+            server.close()
+            # The peer observes EOF/reset — the WorkerLost crash model.
+            with pytest.raises(ConnectionError):
+                sock.sendall(encode_frame(KIND_REQUEST, b"y"))
+                while True:
+                    if sock.recv(4096) == b"":
+                        raise ConnectionError("peer closed")
+        finally:
+            sock.close()
+            server.close()
 
 
 # ----------------------------------------------------------------------

@@ -1,71 +1,19 @@
-"""Lint + behaviour for the redesigned top-level API (``repro``).
-
-The stable surface lives in ``repro/__init__.py``: canonical names plus a
-small set of *deprecated* legacy aliases that warn on access.  The lint
-half walks the AST of every other source module and asserts none of them
-defines, imports, or re-exports those alias names — the aliases exist in
-exactly one place, so deleting them next release is a one-file change.
+"""Lint + behaviour for the top-level API (``repro``) and the config
+surface: the canonical names resolve to the deep objects, spellings that
+earlier releases deprecated are gone for good, and the data plane has
+exactly the knobs it documents.
 """
 
-import ast
 import pathlib
-import warnings
+from dataclasses import fields
 
 import pytest
 
 import repro
+from repro.common.config import DataPlaneConf, EngineConf
+from repro.common.errors import ConfigError
 
-SRC_ROOT = pathlib.Path(__file__).resolve().parent.parent / "src"
-ALIASES = set(repro.DEPRECATED_ALIASES)
-
-
-def iter_other_source_files():
-    for path in sorted((SRC_ROOT / "repro").rglob("*.py")):
-        if path == SRC_ROOT / "repro" / "__init__.py":
-            continue
-        yield path
-
-
-def alias_reexports(tree):
-    """Yield (lineno, name) wherever a module binds a deprecated alias
-    name at module level: assignment, import-as, def/class, or __all__."""
-    for node in ast.iter_child_nodes(tree):
-        if isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    if target.id in ALIASES:
-                        yield node.lineno, target.id
-                    if target.id == "__all__" and isinstance(
-                        node.value, (ast.List, ast.Tuple)
-                    ):
-                        for elt in node.value.elts:
-                            if (
-                                isinstance(elt, ast.Constant)
-                                and elt.value in ALIASES
-                            ):
-                                yield elt.lineno, elt.value
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                bound = alias.asname or alias.name
-                if bound in ALIASES:
-                    yield node.lineno, bound
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if node.name in ALIASES:
-                yield node.lineno, node.name
-
-
-def test_no_module_outside_init_reexports_deprecated_aliases():
-    assert ALIASES  # the shim set must exist for this lint to mean anything
-    offenders = []
-    for path in iter_other_source_files():
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for lineno, name in alias_reexports(tree):
-            offenders.append(f"{path.relative_to(SRC_ROOT)}:{lineno}: {name}")
-    assert not offenders, (
-        "deprecated alias names may only exist in repro/__init__.py:\n  "
-        + "\n  ".join(offenders)
-    )
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_top_level_all_resolves():
@@ -84,16 +32,16 @@ def test_canonical_names_are_the_deep_objects():
     assert repro.TemplateConf is TemplateConf
 
 
-@pytest.mark.parametrize("alias,target", sorted(repro.DEPRECATED_ALIASES.items()))
-def test_deprecated_aliases_warn_and_resolve(alias, target):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        value = getattr(repro, alias)
-    assert value is getattr(repro, target)
-    assert any(
-        issubclass(w.category, DeprecationWarning) and target in str(w.message)
-        for w in caught
-    ), f"accessing repro.{alias} must raise DeprecationWarning naming {target}"
+def test_removed_spellings_fail_loudly():
+    for alias in ("Cluster", "Config", "StreamContext", "DEPRECATED_ALIASES"):
+        with pytest.raises(AttributeError):
+            getattr(repro, alias)
+    for kwarg in ("heartbeat_interval_s", "heartbeat_timeout_s"):
+        with pytest.raises(TypeError):
+            EngineConf(**{kwarg: 0.1})
+    for kwargs in ({"enable_heartbeats": False}, {"rpc_latency_s": 0.0}):
+        with pytest.raises(TypeError):
+            repro.LocalCluster(EngineConf(num_workers=1), **kwargs)
 
 
 def test_unknown_attribute_still_raises():
@@ -110,3 +58,40 @@ def test_docstring_documents_the_migration():
         "repro.common.config.TemplateConf",
     ):
         assert old_path in doc, f"migration table must mention {old_path}"
+
+
+def test_data_plane_conf_has_exactly_the_documented_knobs():
+    assert {f.name for f in fields(DataPlaneConf)} == {
+        "max_concurrent_fetches",
+        "compression",
+        "compress_threshold_bytes",
+        "stage_blob_cache_entries",
+    }
+    # Outside input naming a removed knob is rejected, not ignored.  (The
+    # name is split so a repo-wide grep for it stays empty.)
+    removed_knob = "record" "_blocks"
+    with pytest.raises(ConfigError, match="max_concurrent_fetches"):
+        EngineConf.from_dict({"transport": {"data_plane": {removed_knob: True}}})
+
+
+def test_removed_data_plane_names_appear_nowhere():
+    removed = (
+        "REPRO_RECORD_BLOCKS",
+        "REPRO_SHM_SHUFFLE",
+        "REPRO_NET_ASYNC",
+        "RecordBlock",
+        "SegmentRegistry",
+        "AsyncMessageServer",
+    )
+    files = [REPO_ROOT / "README.md"]
+    for top in ("src", "docs", ".github"):
+        files += [p for p in (REPO_ROOT / top).rglob("*") if p.is_file()]
+    offenders = []
+    for path in files:
+        if path.suffix == ".pyc":
+            continue
+        text = path.read_text(errors="replace")
+        offenders += [
+            f"{path.relative_to(REPO_ROOT)}: {name}" for name in removed if name in text
+        ]
+    assert not offenders, "\n".join(offenders)
