@@ -288,7 +288,16 @@ COUNT_NET_CONNECTIONS = "net.connections"
 COUNT_NET_CONNECT_RETRIES = "net.connect_retries"
 # Per-method round-trip latency histograms are registered as
 # "{HIST_NET_CALL_LATENCY}.{method}" (e.g. "net.call_latency.launch_tasks").
+# A posted (one-way) message gets one sample too: post -> acknowledged.
 HIST_NET_CALL_LATENCY = "net.call_latency"
+# Request-direction frames written to sockets: one per call() exchange
+# (plumbing included) and one per one-way frame, however many posted
+# messages it carries — count.rpc_messages counts those logical messages,
+# this counts what they cost on the wire.  Every such frame is answered by
+# exactly one response frame.  net.messages_per_frame records the size of
+# each one-way frame (calls always carry one message and are not sampled).
+COUNT_NET_FRAMES_SENT = "net.frames_sent"
+HIST_NET_MESSAGES_PER_FRAME = "net.messages_per_frame"
 # Data-plane fast path (see "Data plane" in docs/networking.md): batched
 # shuffle pulls, payload bytes compression kept off the wire, and the
 # content-addressed stage-blob cache on the launch path.  A cache "hit"

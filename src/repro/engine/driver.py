@@ -493,15 +493,25 @@ class Driver:
 
     def drop_job(self, job_id: int) -> None:
         """Garbage-collect a job's shuffle blocks cluster-wide."""
+        self.drop_jobs([job_id])
+
+    def drop_jobs(self, job_ids: Sequence[int]) -> None:
+        """Garbage-collect several jobs in one round per worker: every
+        drop is posted (best effort — a lost worker's blocks are gone
+        anyway), then each worker is waited for once, so the blocks are
+        gone when this returns."""
         with self._lock:
-            job = self.jobs.pop(job_id, None)
-            if job is not None:
-                self._job_ids_by_key.pop(job.job_key, None)
+            for job_id in job_ids:
+                job = self.jobs.pop(job_id, None)
+                if job is not None:
+                    self._job_ids_by_key.pop(job.job_key, None)
             workers = list(self._alive)
+        epoch = self._epoch_kwargs()
         for worker_id in workers:
-            self.transport.try_call(
-                worker_id, "drop_job", job_id, **self._epoch_kwargs()
-            )
+            for job_id in job_ids:
+                self.transport.post(worker_id, "drop_job", job_id, **epoch)
+        for worker_id in workers:
+            self.transport.flush(worker_id)
 
     # ------------------------------------------------------------------
     # Job registration (shared)

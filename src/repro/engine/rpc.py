@@ -1,7 +1,8 @@
 """Message transport between the driver and workers.
 
 All cross-node communication in the engine flows through
-:meth:`BaseTransport.call` so that (a) every message is counted — the RPC
+:meth:`BaseTransport.call` (request/response) or :meth:`BaseTransport.post`
+(one-way) so that (a) every message is counted — the RPC
 amortization claims of §3.1 are observable as message counts, (b) optional
 per-message latency can be injected, and (c) a dead endpoint behaves like
 a crashed machine: calls to it raise :class:`WorkerLost`.
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.common.clock import Clock, WallClock
 from repro.common.errors import WorkerLost
@@ -95,6 +96,36 @@ class BaseTransport:
             return True
         except WorkerLost:
             return False
+
+    def post(
+        self,
+        dst_id: str,
+        method: str,
+        *args: Any,
+        on_undelivered: Optional[Callable[[WorkerLost], None]] = None,
+        **kwargs: Any,
+    ) -> None:
+        """Send one *one-way* engine message: nothing comes back — not the
+        handler's return value, not an exception it raises (a refusal such
+        as :class:`StaleDriverEpoch` stays on the receiver).
+
+        The message counts as one ``COUNT_RPC_MESSAGES`` when posted and
+        is delivered after every earlier post to the same destination.
+        A transport may return before delivery and carry several posts to
+        one destination in a single frame; :meth:`flush` waits for them.
+        When the message cannot be delivered (unknown or dead endpoint, a
+        frame that is never acknowledged) ``on_undelivered(err)`` runs on
+        the sender side — in the caller, or on the transport's sender
+        thread for that destination.  An unacknowledged frame may still
+        have been delivered, so whatever the handler retries must be
+        idempotent on the receiver.  A message that cannot be serialized
+        raises :class:`SerializationError` here, in the caller."""
+        raise NotImplementedError
+
+    def flush(self, dst_id: str) -> None:
+        """Block until everything posted to ``dst_id`` so far has been
+        acknowledged or handed to its ``on_undelivered``.  A transport
+        that delivers posts synchronously has nothing to wait for."""
 
     def ship_telemetry(self, dst_id: str, src_id: str, delta: Any) -> bool:
         """Deliver a telemetry delta to ``dst_id`` as *plumbing*: like
@@ -182,6 +213,25 @@ class Transport(BaseTransport):
             return getattr(target, method)(*args, **kwargs)
         envelope = Envelope(dst_id, method, self.tracer.current())
         return self._deliver(envelope, target, args, kwargs)
+
+    def post(
+        self,
+        dst_id: str,
+        method: str,
+        *args: Any,
+        on_undelivered: Optional[Callable[[WorkerLost], None]] = None,
+        **kwargs: Any,
+    ) -> None:
+        """Deliver synchronously in the calling thread (so the inline
+        executor stays deterministic and counts match the tcp transport):
+        a :meth:`call` whose reply and handler errors are dropped."""
+        try:
+            self.call(dst_id, method, *args, **kwargs)
+        except WorkerLost as err:
+            if on_undelivered is not None:
+                on_undelivered(err)
+        except Exception:  # noqa: BLE001 - one-way: refusals stay on the receiver
+            pass
 
     def _deliver(
         self, envelope: Envelope, target: Any, args: Tuple, kwargs: Dict[str, Any]

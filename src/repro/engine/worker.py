@@ -131,10 +131,10 @@ class Worker:
         self._lock = threading.Lock()
         self._pending: Dict[int, PendingTaskTable] = {}  # job_id -> table
         self._parked: Dict[Tuple[int, str], TaskDescriptor] = {}
-        # (job_id, shuffle_id, map_index) -> (holder worker, epoch): which
+        # job_id -> (shuffle_id, map_index) -> (holder worker, epoch): which
         # worker holds the block and the producing attempt it was written
         # under (readers refuse older co-named blocks — see BlockStore).
-        self._dep_locations: Dict[Tuple[int, int, int], Tuple[str, int]] = {}
+        self._dep_locations: Dict[int, Dict[DepKey, Tuple[str, int]]] = {}
         self._dead = False
         self._hb_thread: Optional[threading.Thread] = None
         self._stop_hb = threading.Event()
@@ -365,13 +365,11 @@ class Worker:
             if self._dead:
                 return
             table = self._pending.setdefault(job_id, PendingTaskTable(self._template_epoch))
+            locations = self._dep_locations.setdefault(job_id, {})
             for entry in completed:
                 (shuffle_id, map_index), location = entry[0], entry[1]
                 epoch = entry[2] if len(entry) > 2 else 0
-                self._dep_locations[(job_id, shuffle_id, map_index)] = (
-                    location,
-                    epoch,
-                )
+                locations[(shuffle_id, map_index)] = (location, epoch)
                 for key in table.notify((shuffle_id, map_index)):
                     desc = self._parked.pop((job_id, key), None)
                     if desc is not None:
@@ -395,9 +393,7 @@ class Worker:
         self._fence(driver_epoch)
         self.blocks.drop_job(job_id)
         with self._lock:
-            self._dep_locations = {
-                k: v for k, v in self._dep_locations.items() if k[0] != job_id
-            }
+            self._dep_locations.pop(job_id, None)
 
     # ------------------------------------------------------------------
     # Worker -> worker RPCs
@@ -417,7 +413,7 @@ class Worker:
         with self._lock:
             if self._dead:
                 return
-            self._dep_locations[(job_id, shuffle_id, map_index)] = (
+            self._dep_locations.setdefault(job_id, {})[(shuffle_id, map_index)] = (
                 src_worker,
                 epoch,
             )
@@ -670,28 +666,30 @@ class Worker:
         than hanging the job (the driver would wait forever), resend a
         stripped report whose error names the offending payload.
 
-        Transient delivery failures (a dropped frame, a reset) are retried
-        a few times: losing a report silently wedges the stage until the
-        driver's deadline fires, so the worker spends a little effort
-        before giving up.  Reports are idempotent driver-side, so a
-        duplicate from a retry racing a slow first delivery is safe.
+        The report is *posted* (:meth:`BaseTransport.post`): the slot
+        moves on and the report leaves in the transport's next frame to
+        the driver.  If that frame is never acknowledged (a dropped frame,
+        a reset) the report is retried a few times with blocking calls:
+        losing a report silently wedges the stage until the driver's
+        deadline fires, so the worker spends a little effort before
+        giving up.  Reports are idempotent driver-side, so a duplicate
+        from a retry racing a slow first delivery is safe.
 
         When every quick attempt fails the driver itself may be down (the
         crash-restart window, repro.ha): the report is *parked* and
         retried with jittered backoff for a bounded window rather than
         discarded, so a driver that restarts quickly receives completed
         work instead of re-running it.  The window is short — a worker
-        must never wedge its executor thread (or ``shutdown(wait=True)``)
-        behind a driver that stays dead; past it, lineage re-execution
-        covers the loss exactly as before."""
-        for attempt in range(3):
-            if self.is_dead:
-                return
-            try:
-                if self.transport.try_call(DRIVER_ID, "task_finished", report):
-                    return
-            except SerializationError as err:
-                report = TaskReport(
+        must never wedge the thread delivering its reports (or its
+        transport's ``close()``) behind a driver that stays dead; past
+        it, lineage re-execution covers the loss exactly as before."""
+        if self.is_dead:
+            return
+        try:
+            self._post_report(report)
+        except SerializationError as err:
+            self._post_report(
+                TaskReport(
                     task_id=report.task_id,
                     worker_id=self.worker_id,
                     succeeded=False,
@@ -699,7 +697,25 @@ class Worker:
                     compute_time_s=report.compute_time_s,
                     trace_ctx=report.trace_ctx,
                 )
-                continue  # the stripped report is picklable; retry with it
+            )  # the stripped report is picklable
+
+    def _post_report(self, report: TaskReport) -> None:
+        self.transport.post(
+            DRIVER_ID,
+            "task_finished",
+            report,
+            on_undelivered=lambda _err: self._redeliver_report(report),
+        )
+
+    def _redeliver_report(self, report: TaskReport) -> None:
+        """The posted report was never acknowledged.  The post was the
+        first of three quick attempts; make the other two as blocking
+        calls on the same backoff, then park."""
+        for attempt in range(3):
+            if self.is_dead:
+                return
+            if attempt and self.transport.try_call(DRIVER_ID, "task_finished", report):
+                return
             time.sleep(0.02 * (attempt + 1))
         self._park_report(report)
 
@@ -714,11 +730,8 @@ class Worker:
             # Jitter in [0.5, 1.5)x: parked workers must not stampede a
             # freshly rebound driver listener in lockstep.
             time.sleep(delay * (0.5 + random.random()))
-            try:
-                if self.transport.try_call(DRIVER_ID, "task_finished", report):
-                    return
-            except SerializationError:
-                return  # already stripped once; nothing further to shed
+            if self.transport.try_call(DRIVER_ID, "task_finished", report):
+                return
             delay = min(delay * 2, 0.4)
 
     def _execute(self, desc: TaskDescriptor) -> TaskReport:
@@ -810,7 +823,7 @@ class Worker:
                     job_id, shuffle_id, map_index, self.worker_id, epoch
                 )
             else:
-                delivered = self.transport.try_call(
+                self.transport.post(
                     target,
                     "notify_output",
                     job_id,
@@ -818,11 +831,9 @@ class Worker:
                     map_index,
                     self.worker_id,
                     epoch,
-                )
-                if not delivered:
                     # §3.3: forward send failures to the centralized
                     # scheduler, the single source workers rely on.
-                    self.transport.try_call(
+                    on_undelivered=lambda _err, target=target: self.transport.try_call(
                         DRIVER_ID,
                         "notify_delivery_failed",
                         job_id,
@@ -830,7 +841,8 @@ class Worker:
                         map_index,
                         self.worker_id,
                         target,
-                    )
+                    ),
+                )
 
     def _fetch_inputs(self, desc: TaskDescriptor) -> List[List[List]]:
         """Pull every input bucket this task needs.
@@ -875,12 +887,13 @@ class Worker:
         local: List[DepKey] = []
         by_peer: Dict[str, List[DepKey]] = {}
         min_epochs: Dict[DepKey, int] = {}
+        with self._lock:
+            learned_locations = dict(self._dep_locations.get(job_id, ()))
         for shuffle_id, map_index in order:
             dep = (shuffle_id, map_index)
             location = desc.map_locations.get(dep)
             min_epoch = desc.map_epochs.get(dep, 0)
-            with self._lock:
-                learned = self._dep_locations.get((job_id, shuffle_id, map_index))
+            learned = learned_locations.get(dep)
             if learned is not None:
                 learned_loc, learned_epoch = learned
                 min_epoch = max(min_epoch, learned_epoch)

@@ -1,8 +1,10 @@
 """Per-peer connection pool with bounded-backoff dialling.
 
 One pool serves every outbound call a transport makes.  Connections are
-keyed by ``(host, port)``, checked out for exactly one request/response
-exchange, and returned for reuse on clean completion — shuffle fetches
+keyed by ``(host, port)``, handed out as
+:class:`~repro.net.framing.FramedSocket` (the socket plus its reusable
+read buffer), checked out for exactly one request/response exchange, and
+returned for reuse on clean completion — shuffle fetches
 and heartbeats ride long-lived sockets instead of paying a dial per
 message.
 
@@ -34,6 +36,7 @@ from repro.common.metrics import (
     COUNT_NET_REDIALS,
     MetricsRegistry,
 )
+from repro.net.framing import FramedSocket
 
 Address = Tuple[str, int]
 
@@ -63,7 +66,8 @@ class ConnectionPool:
         self.call_timeout_s = call_timeout_s
         self.max_retries = max_retries
         self.retry_backoff_s = retry_backoff_s
-        self._idle: Dict[Address, List[socket.socket]] = {}
+        self._idle: Dict[Address, List[FramedSocket]] = {}
+        self._busy: Set[FramedSocket] = set()  # checked out, mid-exchange
         # Addresses we have successfully dialled before: a later _dial to
         # one of these is a *redial* (peer crash, invalidation, or idle
         # exhaustion) and is counted separately from first contacts.
@@ -73,7 +77,7 @@ class ConnectionPool:
         self._closed = False
 
     # ------------------------------------------------------------------
-    def _dial(self, addr: Address) -> socket.socket:
+    def _dial(self, addr: Address) -> FramedSocket:
         delay = self.retry_backoff_s
         last_err: Exception | None = None
         with self._lock:
@@ -110,14 +114,14 @@ class ConnectionPool:
                     # dashboard wants, as opposed to redial attempts.
                     self.metrics.counter(COUNT_NET_RECONNECTS).add(1)
                 self._dialed.add(addr)
-            return sock
+            return FramedSocket(sock)
         raise ConnectFailed(
             f"connect to {addr[0]}:{addr[1]} failed after "
             f"{self.max_retries + 1} attempt(s): {last_err}"
         ) from last_err
 
     @contextlib.contextmanager
-    def connection(self, addr: Address) -> Iterator[socket.socket]:
+    def connection(self, addr: Address) -> Iterator[FramedSocket]:
         """Check out one socket for one request/response exchange.
 
         On clean exit the socket returns to the idle pool; on any error it
@@ -128,22 +132,27 @@ class ConnectionPool:
                 raise ConnectFailed("connection pool is closed")
             idle = self._idle.get(addr)
             sock = idle.pop() if idle else None
+            if sock is not None:
+                self._busy.add(sock)
         if sock is None:
             sock = self._dial(addr)
+            with self._lock:
+                self._busy.add(sock)
         try:
             yield sock
         except BaseException:
-            with contextlib.suppress(OSError):
-                sock.close()
+            with self._lock:
+                self._busy.discard(sock)
+            sock.close()
             raise
         with self._lock:
+            self._busy.discard(sock)
             if not self._closed:
                 bucket = self._idle.setdefault(addr, [])
                 if len(bucket) < _MAX_IDLE_PER_PEER:
                     bucket.append(sock)
                     return
-        with contextlib.suppress(OSError):
-            sock.close()
+        sock.close()
 
     def invalidate(self, addr: Address) -> None:
         """Close every idle socket to one peer.
@@ -154,15 +163,18 @@ class ConnectionPool:
         with self._lock:
             sockets = self._idle.pop(addr, [])
         for sock in sockets:
-            with contextlib.suppress(OSError):
-                sock.close()
+            sock.close()
 
     def close(self) -> None:
-        """Close every idle socket and refuse further checkouts."""
+        """Close every idle socket, reset every exchange in flight (its
+        owner sees the connection drop and closes it) and refuse further
+        checkouts."""
         with self._lock:
             self._closed = True
             sockets = [s for bucket in self._idle.values() for s in bucket]
             self._idle.clear()
+            busy = list(self._busy)
         for sock in sockets:
-            with contextlib.suppress(OSError):
-                sock.close()
+            sock.close()
+        for sock in busy:
+            sock.shutdown()

@@ -7,6 +7,10 @@ request at a time in arrival order — because peers open as many pooled
 connections as they have concurrent calls in flight; concurrency comes
 from the pool, not from per-connection multiplexing.
 
+A ``KIND_POST`` frame carries several one-way messages: ``post_handler``
+receives them as a list, dispatches them in order, and its return value
+is the single response that acknowledges the whole frame.
+
 Closing the server is the wire-level crash model: the listener and every
 active connection are torn down, so peers observe connection refused /
 reset — exactly what :class:`~repro.common.errors.WorkerLost` detection
@@ -19,7 +23,7 @@ import contextlib
 import socket
 import threading
 import weakref
-from typing import Callable, List, Set, Tuple
+from typing import Callable, List, Optional, Set, Tuple
 
 from repro.chaos.injector import chaos_hit
 from repro.chaos.plan import KIND_SERVER_KILL, SITE_NET_SERVE
@@ -30,13 +34,15 @@ from repro.common.metrics import (
     MetricsRegistry,
 )
 from repro.net.framing import (
+    KIND_POST,
     KIND_REQUEST,
     KIND_RESPONSE,
     ConnectionClosed,
+    FramedSocket,
     FrameError,
     compress_payload,
+    decode_messages,
     encode_frame,
-    read_frame_ex,
 )
 
 # Every open server, for leak detection: tests assert that no server
@@ -60,8 +66,10 @@ class MessageServer:
         name: str = "net",
         compression: str = "off",
         compress_threshold: int = 4096,
+        post_handler: Optional[Callable[[List[bytes]], bytes]] = None,
     ):
         self._handler = handler
+        self._post_handler = post_handler
         self.metrics = metrics
         self._compression = compression
         self._compress_threshold = compress_threshold
@@ -109,14 +117,19 @@ class MessageServer:
             ).start()
 
     def _serve_connection(self, conn: socket.socket) -> None:
+        framed = FramedSocket(conn)
         try:
             while True:
                 try:
-                    kind, payload, _flags, wire_len = read_frame_ex(conn)
+                    kind, payload, _flags, wire_len = framed.read_frame_ex()
+                    if kind == KIND_REQUEST:
+                        handle, request = self._handler, payload
+                    elif kind == KIND_POST and self._post_handler is not None:
+                        handle, request = self._post_handler, decode_messages(payload)
+                    else:
+                        return  # protocol violation; drop the connection
                 except (ConnectionClosed, FrameError, OSError):
                     return
-                if kind != KIND_REQUEST:
-                    return  # protocol violation; drop the connection
                 # Byte counters are wire truth: the compressed size.
                 self.metrics.counter(COUNT_NET_BYTES_RECEIVED).add(wire_len)
                 if self._name != "driver":
@@ -130,7 +143,7 @@ class MessageServer:
                         # KIND_RESPONSE_DROP: the handler never runs, the
                         # caller sees its connection reset mid-exchange.
                         return
-                response = self._handler(payload)
+                response = handle(request)
                 wire, flags, saved = compress_payload(
                     response, self._compression, self._compress_threshold
                 )

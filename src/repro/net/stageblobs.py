@@ -53,6 +53,7 @@ class WireTaskDescriptor:
     deps: FrozenSet = frozenset()
     downstream: Dict[int, str] = field(default_factory=dict)
     map_locations: Dict = field(default_factory=dict)
+    map_epochs: Dict = field(default_factory=dict)
     trace_ctx: Any = None
 
 
@@ -148,6 +149,7 @@ class StageBlobSender:
                         deps=desc.deps,
                         downstream=desc.downstream,
                         map_locations=desc.map_locations,
+                        map_epochs=desc.map_epochs,
                         trace_ctx=desc.trace_ctx,
                     )
                 )
@@ -220,6 +222,7 @@ class StageBlobReceiver:
                     deps=w.deps,
                     downstream=w.downstream,
                     map_locations=w.map_locations,
+                    map_epochs=w.map_epochs,
                     trace_ctx=w.trace_ctx,
                 )
                 for w in launch.descriptors

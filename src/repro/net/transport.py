@@ -24,6 +24,17 @@ propagate driver→wire→worker unchanged.  The response carries
 ``("ok", value)``, ``("err", exception)`` (re-raised caller-side), or
 ``("lost", reason)`` (surfaced as :class:`WorkerLost`).
 
+One-way messages
+----------------
+:meth:`TcpTransport.post` queues a serialized message in the destination's
+*outbox*; one sender thread per destination takes everything queued,
+sends it as a single ``KIND_POST`` frame, and waits for the one response
+that acknowledges every message in it.  Whatever is posted while that
+exchange is in flight leaves in the next frame — an idle peer sees
+single-message frames with no added delay, a busy one coalesces, and no
+timer or size threshold is involved.  A frame that is never acknowledged
+hands each of its messages to that message's ``on_undelivered``.
+
 Failure model
 -------------
 A dead peer is one whose server is gone: connection refused after the
@@ -36,11 +47,14 @@ both backends.
 
 from __future__ import annotations
 
+import functools
+import queue
 import threading
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.injector import chaos_hit
 from repro.chaos.plan import (
+    KIND_NET_DELAY,
     KIND_NET_DROP,
     KIND_NET_DUPLICATE,
     SITE_NET_CALL,
@@ -54,6 +68,7 @@ from repro.common.metrics import (
     COUNT_NET_BYTES_RECEIVED,
     COUNT_NET_BYTES_SAVED_COMPRESSION,
     COUNT_NET_BYTES_SENT,
+    COUNT_NET_FRAMES_SENT,
     COUNT_NET_LAUNCH_BYTES_SENT,
     COUNT_NET_TEMPLATE_BYTES_SAVED,
     COUNT_RPC_MESSAGES,
@@ -61,19 +76,21 @@ from repro.common.metrics import (
     COUNT_TEMPLATE_INVALIDATED,
     COUNT_TEMPLATE_MISS,
     HIST_NET_CALL_LATENCY,
+    HIST_NET_MESSAGES_PER_FRAME,
     MetricsRegistry,
 )
 from repro.core.templates import TemplateSender
 from repro.dag.serde import dumps_closure, loads_closure
 from repro.engine.rpc import INSTANTIATE_TEMPLATE, LAUNCH_TASKS, BaseTransport, Envelope
 from repro.net.framing import (
+    KIND_POST,
     KIND_REQUEST,
     KIND_RESPONSE,
     ConnectionClosed,
     FrameError,
     compress_payload,
     encode_frame,
-    read_frame_ex,
+    encode_messages,
 )
 from repro.net.pool import Address, ConnectFailed, ConnectionPool
 from repro.net.server import MessageServer
@@ -158,9 +175,123 @@ _CHAOS_DUP_SAFE = frozenset(
 )
 
 
+def _fault_effect(fault: FaultEvent, method: str) -> str:
+    """What a ``net.call`` fault does to a message of ``method``: a drop
+    or duplicate the method cannot absorb degrades to a delay."""
+    if fault.kind == KIND_NET_DROP and method in _CHAOS_DROP_SAFE:
+        return KIND_NET_DROP
+    if fault.kind == KIND_NET_DUPLICATE and method in _CHAOS_DUP_SAFE:
+        return KIND_NET_DUPLICATE
+    return KIND_NET_DELAY
+
+
 class _ConnectRefused(WorkerLost):
     """Internal marker: the failure was a refused dial, so the request was
     never delivered and a retry at a fresh address is safe."""
+
+
+# Sender threads are named "<transport>-post-<destination>"; the test
+# suite's leak fixture looks for the marker.
+SENDER_THREAD_MARK = "-post-"
+# close() waits this long for a sender to finish the on_undelivered
+# handler it is in (a worker's report fallback is bounded at ~1.6 s).
+_SENDER_JOIN_S = 3.0
+
+
+class _Posted:
+    """One queued one-way message: its wire payload plus what the sender
+    needs once the frame that carried it is (or is not) acknowledged."""
+
+    __slots__ = ("payload", "method", "on_undelivered", "posted_at")
+
+    def __init__(
+        self,
+        payload: bytes,
+        method: str,
+        on_undelivered: Optional[Callable[[WorkerLost], None]],
+        posted_at: float,
+    ):
+        self.payload = payload
+        self.method = method
+        self.on_undelivered = on_undelivered
+        self.posted_at = posted_at
+
+
+class _Outbox:
+    """The posts to one destination, in order, and the one thread that
+    sends them: it takes *everything* queued, hands it to ``send`` (one
+    frame, one acknowledgement), and only then looks at the queue again.
+
+    The queue holds :class:`_Posted` messages and, from :meth:`flush`,
+    ``threading.Event`` markers: a marker is set once every message
+    queued before it has been settled."""
+
+    _STOP = object()
+
+    def __init__(self, send: Callable[[List[_Posted]], None], thread_name: str):
+        self._send = send
+        self._queue: "queue.SimpleQueue[Any]" = queue.SimpleQueue()
+        self._lock = threading.Lock()  # orders flush markers against close
+        self.closed = False
+        self._thread = threading.Thread(
+            target=self._run, name=thread_name, daemon=True
+        )
+        self._thread.start()
+
+    def put(self, message: _Posted) -> None:
+        if not self.closed:  # a crashed sender's effects stay discarded
+            self._queue.put(message)
+
+    def flush(self) -> None:
+        settled = threading.Event()
+        with self._lock:
+            if self.closed:
+                return
+            self._queue.put(settled)
+        settled.wait()
+
+    def close(self) -> None:
+        """Discard what is queued, stop the sender, release any flush."""
+        with self._lock:
+            self.closed = True
+            self._queue.put(self._STOP)
+        if self._thread is not threading.current_thread():
+            self._thread.join(timeout=_SENDER_JOIN_S)
+        self._drain([], [])
+
+    def _sort(self, item: Any, batch: List[_Posted], markers: List[threading.Event]) -> None:
+        """One queued item: a message to send, a flush marker to set once
+        the messages before it are settled, or the stop sentinel.  On a
+        closed outbox messages are dropped and markers set at once."""
+        if isinstance(item, _Posted):
+            if not self.closed:
+                batch.append(item)
+        elif item is not self._STOP:
+            if self.closed:
+                item.set()
+            else:
+                markers.append(item)
+
+    def _drain(self, batch: List[_Posted], markers: List[threading.Event]) -> None:
+        while True:
+            try:
+                item = self._queue.get_nowait()
+            except queue.Empty:
+                return
+            self._sort(item, batch, markers)
+
+    def _run(self) -> None:
+        while not self.closed:
+            batch: List[_Posted] = []
+            markers: List[threading.Event] = []
+            self._sort(self._queue.get(), batch, markers)
+            self._drain(batch, markers)
+            try:
+                if batch and not self.closed:
+                    self._send(batch)
+            finally:
+                for marker in markers:
+                    marker.set()
 
 
 class TcpTransport(BaseTransport):
@@ -184,6 +315,9 @@ class TcpTransport(BaseTransport):
         self._directory: Dict[str, Address] = {}  # authoritative on the hub
         self._addr_cache: Dict[str, Address] = {}
         self._lock = threading.Lock()
+        self._outboxes: Dict[str, _Outbox] = {}  # destination -> its posts
+        self._closed = False
+        self._name = name
         self.pool = ConnectionPool(
             self.metrics,
             connect_timeout_s=self.conf.connect_timeout_s,
@@ -215,6 +349,7 @@ class TcpTransport(BaseTransport):
             name=name,
             compression=self._compression,
             compress_threshold=self._compress_threshold,
+            post_handler=self._handle_posts,
         )
 
     # ------------------------------------------------------------------
@@ -275,6 +410,9 @@ class TcpTransport(BaseTransport):
         with self._lock:
             prior = self._directory.pop(endpoint_id, None)
             self._addr_cache.pop(endpoint_id, None)
+            outbox = self._outboxes.pop(endpoint_id, None)
+        if outbox is not None:
+            outbox.close()  # nothing more will be posted there: stop its sender
         if prior is not None:
             self.pool.invalidate(prior)
         if self._stage_sender is not None:
@@ -317,13 +455,26 @@ class TcpTransport(BaseTransport):
             return dict(self._local)
 
     def close(self) -> None:
+        """Stop serving and sending.  Posts still queued are discarded
+        without running ``on_undelivered`` — closing is the crash model,
+        and a crashed machine's pending effects stay discarded."""
+        with self._lock:
+            self._closed = True
+            outboxes = list(self._outboxes.values())
         self.server.close()
+        # Closing the pool resets any exchange a sender is blocked in, so
+        # the joins below do not wait on a silent peer.
         self.pool.close()
+        for outbox in outboxes:
+            outbox.close()
 
     # ------------------------------------------------------------------
     # Calls
     # ------------------------------------------------------------------
-    def call(self, dst_id: str, method: str, *args: Any, **kwargs: Any) -> Any:
+    def _open_message(self, dst_id: str, method: str) -> Tuple[Address, Envelope]:
+        """What a call and a post share before anything is sent: refuse a
+        known-dead peer, resolve it, count one engine message, pay the
+        injected latency, and capture the sender's trace context."""
         with self._lock:
             if dst_id in self._dead:
                 raise WorkerLost(dst_id, "endpoint is down")
@@ -332,13 +483,128 @@ class TcpTransport(BaseTransport):
         if self.latency_s > 0:
             self._clock.sleep(self.latency_s)
         ctx = self.tracer.current() if self.tracer.enabled else None
-        envelope = Envelope(dst_id, method, ctx)
+        return addr, Envelope(dst_id, method, ctx)
+
+    def call(self, dst_id: str, method: str, *args: Any, **kwargs: Any) -> Any:
+        addr, envelope = self._open_message(dst_id, method)
         fault = chaos_hit(SITE_NET_CALL, target=dst_id, method=method)
         if fault is not None:
             self._apply_call_fault(fault, dst_id, method, addr, envelope, args, kwargs)
         start = self._clock.now()
+        status, value = self._deliver(
+            dst_id, addr, lambda at: self._exchange(at, envelope, args, kwargs)
+        )
+        self.metrics.histogram(f"{HIST_NET_CALL_LATENCY}.{method}").record(
+            self._clock.now() - start
+        )
+        if status == _OK:
+            return value
+        if status == _LOST:
+            self._forget_addr(dst_id)
+            raise WorkerLost(dst_id, str(value))
+        raise value  # _ERR: the handler's exception, re-raised caller-side
+
+    def post(
+        self,
+        dst_id: str,
+        method: str,
+        *args: Any,
+        on_undelivered: Optional[Callable[[WorkerLost], None]] = None,
+        **kwargs: Any,
+    ) -> None:
+        """Serialize now (in the caller, with the caller's trace context),
+        queue for ``dst_id``'s sender thread, return."""
         try:
-            status, value = self._exchange(addr, envelope, args, kwargs)
+            _addr, envelope = self._open_message(dst_id, method)
+        except WorkerLost as err:
+            if on_undelivered is not None:
+                on_undelivered(err)
+            return
+        copies = 1
+        # One draw per logical message, exactly as call() makes.
+        fault = chaos_hit(SITE_NET_CALL, target=dst_id, method=method)
+        if fault is not None:
+            effect = _fault_effect(fault, method)
+            if effect == KIND_NET_DROP:
+                if on_undelivered is not None:
+                    on_undelivered(
+                        WorkerLost(
+                            dst_id, f"chaos {fault.kind}: {method!r} message dropped"
+                        )
+                    )
+                return
+            if effect == KIND_NET_DUPLICATE:
+                copies = 2
+            else:
+                self._clock.sleep(fault.param if fault.param > 0 else 0.02)
+        payload = dumps_closure(
+            (envelope, args, kwargs), context=f"rpc {method!r} payload"
+        )
+        outbox = self._outboxes.get(dst_id)
+        if outbox is None:
+            with self._lock:
+                if self._closed:
+                    return
+                outbox = self._outboxes.get(dst_id)
+                if outbox is None:
+                    outbox = self._outboxes[dst_id] = _Outbox(
+                        functools.partial(self._send_posts, dst_id),
+                        f"{self._name}{SENDER_THREAD_MARK}{dst_id}",
+                    )
+        outbox.put(_Posted(payload, method, on_undelivered, self._clock.now()))
+        if copies == 2:
+            # A bare copy: no handler, no latency sample.
+            outbox.put(_Posted(payload, "", None, 0.0))
+
+    def flush(self, dst_id: str) -> None:
+        outbox = self._outboxes.get(dst_id)
+        if outbox is not None:
+            outbox.flush()
+
+    def _send_posts(self, dst_id: str, batch: List[_Posted]) -> None:
+        """Sender thread: one frame for the whole batch, one response back,
+        then settle each message — a latency sample if it was taken, its
+        ``on_undelivered`` if not."""
+        self.metrics.histogram(HIST_NET_MESSAGES_PER_FRAME).record(len(batch))
+        lost: List[Optional[str]]
+        try:
+            frame = self._frame(
+                KIND_POST,
+                encode_messages([m.payload for m in batch]),
+                dst_id,
+                [m.method for m in batch],
+            )
+            response = self._deliver(
+                dst_id,
+                self._resolve(dst_id),
+                lambda at: self._wire_exchange(at, dst_id, frame, "a one-way frame"),
+            )
+            # An empty acknowledgement is the common case: every message taken.
+            lost = loads_closure(response) if response else [None] * len(batch)
+            if len(lost) != len(batch):
+                raise ValueError(f"{len(lost)} statuses for {len(batch)} messages")
+        except WorkerLost as err:
+            lost = [err.reason] * len(batch)
+        except Exception as err:  # noqa: BLE001 - unbuildable frame, unreadable reply
+            lost = [f"one-way frame to {dst_id} failed: {err!r}"] * len(batch)
+        now = self._clock.now()
+        for message, reason in zip(batch, lost):
+            if reason is None:
+                if message.method:
+                    self.metrics.histogram(
+                        f"{HIST_NET_CALL_LATENCY}.{message.method}"
+                    ).record(now - message.posted_at)
+            elif message.on_undelivered is not None and not self._closed:
+                try:
+                    message.on_undelivered(WorkerLost(dst_id, reason))
+                except Exception:  # noqa: BLE001 - a handler must not kill the sender
+                    pass
+
+    def _deliver(self, dst_id: str, addr: Address, exchange: Callable[[Address], Any]) -> Any:
+        """Run ``exchange(addr)`` under the stale-address policy shared by
+        calls and one-way frames."""
+        try:
+            return exchange(addr)
         except _ConnectRefused as refused:
             # Nothing was listening at `addr` — possibly a *stale* cached
             # address for a peer that re-announced elsewhere.  A refused
@@ -350,7 +616,7 @@ class TcpTransport(BaseTransport):
                     self._dead.add(dst_id)
                 raise WorkerLost(dst_id, refused.reason) from refused
             try:
-                status, value = self._exchange(fresh, envelope, args, kwargs)
+                return exchange(fresh)
             except WorkerLost:
                 with self._lock:
                     self._dead.add(dst_id)
@@ -362,15 +628,6 @@ class TcpTransport(BaseTransport):
             # sure the next caller re-resolves.
             self._forget_addr(dst_id)
             raise
-        self.metrics.histogram(f"{HIST_NET_CALL_LATENCY}.{method}").record(
-            self._clock.now() - start
-        )
-        if status == _OK:
-            return value
-        if status == _LOST:
-            self._forget_addr(dst_id)
-            raise WorkerLost(dst_id, str(value))
-        raise value  # _ERR: the handler's exception, re-raised caller-side
 
     def _apply_call_fault(
         self,
@@ -382,11 +639,12 @@ class TcpTransport(BaseTransport):
         args: Tuple,
         kwargs: Optional[Dict],
     ) -> None:
-        if fault.kind == KIND_NET_DROP and method in _CHAOS_DROP_SAFE:
+        effect = _fault_effect(fault, method)
+        if effect == KIND_NET_DROP:
             # The request never leaves this host; the caller observes the
             # same WorkerLost a vanished peer would produce.
             raise WorkerLost(dst_id, f"chaos {fault.kind}: {method!r} request dropped")
-        if fault.kind == KIND_NET_DUPLICATE and method in _CHAOS_DUP_SAFE:
+        if effect == KIND_NET_DUPLICATE:
             # Deliver once extra, discard the outcome: the real exchange
             # below is the one whose response the caller sees.
             try:
@@ -583,15 +841,22 @@ class TcpTransport(BaseTransport):
             (envelope, args, kwargs or {}),
             context=f"rpc {envelope.method!r} payload",
         )
+        dst = envelope.dst
+        frame = self._frame(KIND_REQUEST, payload, dst, (envelope.method,))
+        response = self._wire_exchange(addr, dst, frame, repr(envelope.method))
+        status, value = loads_closure(response)
+        return status, value, len(frame)
+
+    def _frame(self, kind: int, payload: bytes, dst: str, methods: Sequence[str]) -> bytes:
+        """Compress and frame one outgoing payload carrying ``methods``."""
         wire, flags, saved = compress_payload(
             payload, self._compression, self._compress_threshold
         )
         if saved:
             self.metrics.counter(COUNT_NET_BYTES_SAVED_COMPRESSION).add(saved)
-        frame = encode_frame(KIND_REQUEST, wire, flags)
-        dst = envelope.dst
-        if envelope.method in _CHAOS_DROP_SAFE and (
-            chaos_hit(SITE_NET_FRAME, target=dst, method=envelope.method) is not None
+        frame = encode_frame(kind, wire, flags)
+        if all(m in _CHAOS_DROP_SAFE for m in methods) and (
+            chaos_hit(SITE_NET_FRAME, target=dst, method=methods[0]) is not None
         ):
             # Garble the frame HEADER (never the payload): the server's
             # framing layer rejects it and drops the connection, so the
@@ -599,27 +864,30 @@ class TcpTransport(BaseTransport):
             # instead decode garbage into a SerializationError response,
             # which is a programming-error signal, not a fault.
             frame = b"\x00\x00" + frame[2:]
+        return frame
+
+    def _wire_exchange(self, addr: Address, dst: str, frame: bytes, what: str) -> bytes:
+        """Write one frame, read the one response frame that answers it;
+        returns the response payload."""
         try:
             with self.pool.connection(addr) as sock:
                 sock.sendall(frame)
                 self.metrics.counter(COUNT_NET_BYTES_SENT).add(len(frame))
-                kind, response, _flags, wire_len = read_frame_ex(sock)
+                self.metrics.counter(COUNT_NET_FRAMES_SENT).add(1)
+                kind, response, _flags, wire_len = sock.read_frame_ex()
         except ConnectFailed as err:
             # Nothing is listening there: either the peer is gone or the
-            # address is stale.  call() decides — it may retry once at a
-            # freshly resolved address (a refused dial delivered nothing)
+            # address is stale.  _deliver() decides — it may retry once at
+            # a freshly resolved address (a refused dial delivered nothing)
             # before caching the peer dead.
             raise _ConnectRefused(dst, f"connection refused: {err}") from err
         except (ConnectionClosed, FrameError, OSError) as err:
-            raise WorkerLost(
-                dst, f"connection lost during {envelope.method!r}: {err}"
-            ) from err
+            raise WorkerLost(dst, f"connection lost during {what}: {err}") from err
         if kind != KIND_RESPONSE:
             raise WorkerLost(dst, f"protocol violation: frame kind {kind}")
         # Byte counters are wire truth: the compressed size.
         self.metrics.counter(COUNT_NET_BYTES_RECEIVED).add(wire_len)
-        status, value = loads_closure(response)
-        return status, value, len(frame)
+        return response
 
     # ------------------------------------------------------------------
     # Server side
@@ -642,6 +910,23 @@ class TcpTransport(BaseTransport):
                 ),
             )
             return dumps_closure(fallback, context="rpc response payload")
+
+    def _handle_posts(self, messages: List[bytes]) -> bytes:
+        """Dispatch the one-way messages of one frame in order; the reply
+        acknowledges them all: per message ``None`` (taken — whatever its
+        handler returned or raised stays here) or the reason it could not
+        be delivered to its endpoint; empty when every message was taken."""
+        acks: List[Optional[str]] = []
+        for payload in messages:
+            try:
+                envelope, args, kwargs = loads_closure(payload)
+                status, value = self._dispatch(envelope, args, kwargs)
+            except Exception:  # noqa: BLE001 - malformed: nothing to retry
+                status, value = _ERR, None
+            acks.append(str(value) if status == _LOST else None)
+        if not any(acks):
+            return b""  # every message taken: nothing to spell out
+        return dumps_closure(acks, context="one-way acknowledgement")
 
     def _dispatch(self, envelope: Envelope, args: Tuple, kwargs: Dict) -> Tuple[str, Any]:
         method = envelope.method

@@ -39,6 +39,7 @@ from repro.common.metrics import (
     COUNT_NET_CONNECT_RETRIES,
     COUNT_NET_CONNECTIONS,
     COUNT_NET_FETCH_BATCHES,
+    COUNT_NET_FRAMES_SENT,
     COUNT_NET_LAUNCH_BYTES_SENT,
     COUNT_NET_RECONNECTS,
     COUNT_NET_REDIALS,
@@ -62,6 +63,7 @@ from repro.common.metrics import (
     HIST_MIGRATION_WALL,
     HIST_NET_BUCKETS_PER_FETCH,
     HIST_NET_CALL_LATENCY,
+    HIST_NET_MESSAGES_PER_FRAME,
     HIST_TELEMETRY_BATCH_WALL,
     HIST_TELEMETRY_QUEUE_DELAY,
     TELEMETRY_STAGE_LATENCY_PREFIX,
@@ -159,6 +161,8 @@ METRIC_NAMES = frozenset(
         COUNT_NET_CONNECTIONS,
         COUNT_NET_CONNECT_RETRIES,
         COUNT_NET_FETCH_BATCHES,
+        COUNT_NET_FRAMES_SENT,
+        HIST_NET_MESSAGES_PER_FRAME,
         COUNT_NET_REDIALS,
         COUNT_NET_RECONNECTS,
         HIST_NET_BUCKETS_PER_FETCH,

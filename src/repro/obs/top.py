@@ -25,6 +25,13 @@ from repro.common.config import (
     TelemetryConf,
     TransportConf,
 )
+from repro.common.metrics import (
+    COUNT_NET_BYTES_RECEIVED,
+    COUNT_NET_BYTES_SENT,
+    COUNT_NET_FRAMES_SENT,
+    COUNT_RPC_MESSAGES,
+    HIST_NET_MESSAGES_PER_FRAME,
+)
 from repro.obs.live import DRIVER_TIMELINE, ClusterTelemetry
 
 # Counters surfaced in the per-worker table, in display order.
@@ -125,6 +132,29 @@ def render_dashboard(telemetry: ClusterTelemetry) -> str:
             f" lag={lag:g}B"
             f" replays={ha_counters.get('ha.wal_replays', 0):g}"
             f" fenced={ha_counters.get('ha.fenced', 0):g}"
+        )
+    # The wire (tcp transport only): logical engine messages against the
+    # request frames that carried them, and how full one-way frames run.
+    net_counters = driver_state.get("counters") or {}
+    frames = net_counters.get(COUNT_NET_FRAMES_SENT, 0)
+    if frames:
+        per_frame = (driver_state.get("histograms") or {}).get(
+            HIST_NET_MESSAGES_PER_FRAME
+        ) or {}
+        wire_bytes = net_counters.get(COUNT_NET_BYTES_SENT, 0) + net_counters.get(
+            COUNT_NET_BYTES_RECEIVED, 0
+        )
+        lines.append(
+            "  net                "
+            f"messages={net_counters.get(COUNT_RPC_MESSAGES, 0):g}"
+            f" frames={frames:g}"
+            f" bytes={wire_bytes:g}"
+            + (
+                f" one-way msgs/frame mean={per_frame['mean']:.1f}"
+                f" max={per_frame['max']:g}"
+                if per_frame.get("count")
+                else ""
+            )
         )
     lines.append("")
 

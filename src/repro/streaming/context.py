@@ -325,12 +325,15 @@ class StreamingContext:
         return cp
 
     def _gc_through(self, batch_index: int) -> None:
-        for job_key, job_id in list(self.driver._job_ids_by_key.items()):
-            if not (isinstance(job_key, tuple) and len(job_key) == 2):
-                continue
-            _op_index, b = job_key
-            if b <= batch_index:
-                self.driver.drop_job(job_id)
+        self.driver.drop_jobs(
+            [
+                job_id
+                for job_key, job_id in list(self.driver._job_ids_by_key.items())
+                if isinstance(job_key, tuple)
+                and len(job_key) == 2
+                and job_key[1] <= batch_index
+            ]
+        )
 
     def restore_and_replay(self) -> int:
         """Recover as after a driver/state loss: restore the latest

@@ -15,14 +15,20 @@ import pytest
 from repro.common.config import EngineConf, SchedulingMode
 from repro.engine.cluster import LocalCluster
 from repro.net.server import live_servers
+from repro.net.transport import SENDER_THREAD_MARK
 
 
 @pytest.fixture(autouse=True)
 def no_leaked_executors():
-    """Fail any test that leaves stray non-daemon threads, live child
-    processes, or open tcp-transport servers behind (leaked executor
-    backends, forgotten shutdowns, unclosed transports)."""
-    before = {t for t in threading.enumerate() if not t.daemon}
+    """Fail any test that leaves stray non-daemon threads, one-way sender
+    threads (daemons, so named explicitly), live child processes, or open
+    tcp-transport servers behind (leaked executor backends, forgotten
+    shutdowns, unclosed transports)."""
+
+    def watched(thread: threading.Thread) -> bool:
+        return not thread.daemon or SENDER_THREAD_MARK in thread.name
+
+    before = {t for t in threading.enumerate() if watched(t)}
     servers_before = set(live_servers())
     yield
     deadline = time.monotonic() + 5.0
@@ -30,7 +36,7 @@ def no_leaked_executors():
         threads = [
             t
             for t in threading.enumerate()
-            if not t.daemon and t.is_alive() and t not in before
+            if watched(t) and t.is_alive() and t not in before
         ]
         children = multiprocessing.active_children()
         servers = [s for s in live_servers() if s not in servers_before]

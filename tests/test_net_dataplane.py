@@ -428,6 +428,37 @@ class TestStageBlobs:
         assert metrics.counter(COUNT_STAGE_CACHE_HIT).value == 1
         assert metrics.counter(COUNT_STAGE_CACHE_MISS).value == 1
 
+    def test_every_descriptor_field_survives_the_wire(self):
+        """Walk ``TaskDescriptor``'s own field list so a field added later
+        cannot be dropped by ``WireTaskDescriptor`` unnoticed (``plan``
+        travels as its digest and is compared by identity above)."""
+        import dataclasses
+
+        from repro.obs.trace import SpanContext
+
+        plan = _plan()
+        sent = TaskDescriptor(
+            task_id=TaskId(4, 1, 2, 3),
+            plan=plan,
+            pre_scheduled=True,
+            deps=frozenset({(7, 0), (7, 1)}),
+            downstream={0: "w1", 1: "w2"},
+            map_locations={(7, 0): "w1"},
+            map_epochs={(7, 0): 2, (7, 1): 1},
+            trace_ctx=SpanContext("trace-1", 9),
+        )
+        names = {f.name for f in dataclasses.fields(TaskDescriptor)} - {"plan"}
+        # The fixture itself must not leave a field at its default.
+        default = TaskDescriptor(task_id=sent.task_id, plan=plan)
+        assert all(
+            getattr(sent, n) != getattr(default, n) for n in names - {"task_id"}
+        )
+        launch, _ = StageBlobSender(MetricsRegistry()).encode("w0", [sent])
+        (received,), missing = StageBlobReceiver().decode(launch)
+        assert missing == []
+        for name in names:
+            assert getattr(received, name) == getattr(sent, name), name
+
     def test_per_peer_shipped_sets(self):
         sender = StageBlobSender(MetricsRegistry())
         plan = _plan()
@@ -625,3 +656,45 @@ class TestTcpClusterStageCache:
             dataset2 = parallelize(list(range(10)), 2).map(lambda x: x + 1)
             assert sorted(cluster.collect(dataset2)) == list(range(1, 11))
             assert metrics.counter(COUNT_STAGE_CACHE_MISS).value > misses
+
+    def test_stale_block_is_missing_over_tcp_per_batch(self):
+        """PER_BATCH reduce descriptors carry the minimum epoch of each
+        dependency across the wire: a co-named block written by an older
+        attempt is reported missing, exactly as in-process."""
+        with make_cluster(
+            SchedulingMode.PER_BATCH, workers=2, slots=2, transport="tcp"
+        ) as cluster:
+            plan = compile_plan(
+                parallelize(range(8), 2).map(lambda x: (x % 2, x)).reduce_by_key(
+                    lambda a, b: a + b, 2
+                ),
+                collect_action(),
+            )
+            holder, reader = sorted(cluster.workers)
+            sid = plan.stages[1].input_shuffles[0].shuffle_id
+            blocks = cluster.workers[holder].blocks
+            blocks.put_map_output(77, sid, 0, {0: [(0, 1)]}, epoch=0)  # superseded
+            blocks.put_map_output(77, sid, 1, {0: [(0, 2)]}, epoch=1)
+            desc = TaskDescriptor(
+                task_id=TaskId(77, 1, 0),
+                plan=plan,
+                map_locations={(sid, 0): holder, (sid, 1): holder},
+                map_epochs={(sid, 0): 1, (sid, 1): 1},
+            )
+            received = []
+            worker = cluster.workers[reader]
+            real = worker._fetch_inputs
+
+            def spy(d):
+                received.append(d)
+                return real(d)
+
+            worker._fetch_inputs = spy
+            reports = []
+            cluster.driver.task_finished = reports.append
+            cluster.transport.call(reader, "launch_tasks", [desc])
+            assert wait_for(lambda: reports)
+            assert received[0].map_epochs == {(sid, 0): 1, (sid, 1): 1}
+            error = reports[0].error
+            assert isinstance(error, FetchFailed)
+            assert (error.shuffle_id, error.map_index) == (sid, 0)  # the stale one
