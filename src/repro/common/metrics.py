@@ -275,6 +275,10 @@ COUNT_LAUNCH_RPCS = "count.launch_rpcs"
 COUNT_GROUPS_SCHEDULED = "count.groups_scheduled"
 COUNT_BATCHES_EXECUTED = "count.batches_executed"
 COUNT_CHECKPOINTS = "count.checkpoints"
+# Keys whose values a checkpoint copied (summed over stores): the delta
+# since the previous checkpoint, or every key when a store's checkpoint is
+# a full base (its first, and the first after a restore).
+COUNT_CHECKPOINT_KEYS_COPIED = "streaming.checkpoint_keys_copied"
 COUNT_RECOVERIES = "count.recoveries"
 COUNT_SPECULATIVE = "count.speculative_tasks"
 # Wire-level counters maintained by the tcp transport (repro.net): framed

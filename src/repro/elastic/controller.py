@@ -111,7 +111,8 @@ class ElasticController:
         """Track ``store``'s keyspace per key-range shard.  The initial
         layout tiles the hash space over the current placement; worker
         copies start empty (an empty base is exactly "state as of batch
-        -1") so registration costs zero RPCs."""
+        -1") so registration costs zero RPCs, and the store's migration
+        cursor starts with every key unsynced."""
         if store.name not in self._maps:
             workers = self.cluster.driver.placement_workers()
             self._maps[store.name] = ShardMap.initial(

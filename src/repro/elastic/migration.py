@@ -8,7 +8,9 @@ three-step, ack-gated transfer over the ordinary (counted) transport:
    copy; nothing is destroyed before the destination acks.
 2. ``install_state_shards`` on the destination with the source's base
    contents overlaid with the driver's dirty delta for the range (the
-   updates since the source's copy was last synchronized).  The install
+   updates since the source's copy was last synchronized — the state
+   store's migration cursor, which shares its per-key change tracking
+   with the checkpoint cursor).  The install
    is idempotent, keyed by (store, range, epoch), so a retry after a
    lost ack is harmless.
 3. ``release_state_shards`` on the source, best-effort, only after the
@@ -94,8 +96,9 @@ class MigrationExecutor:
     ) -> MigrationOutcome:
         """Run every move; failures abort individual moves, never the
         round.  ``store`` is the driver-side
-        :class:`~repro.streaming.state.ShardedStateStore` (the dirty-delta
-        and recovery authority)."""
+        :class:`~repro.streaming.state.StateStore` (the dirty-delta and
+        recovery authority): its migration cursor supplies each range's
+        overlay and closes the range's window when the destination acks."""
         outcome = MigrationOutcome(epoch=epoch)
         if not moves:
             return outcome

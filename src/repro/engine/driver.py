@@ -491,6 +491,23 @@ class Driver:
         if len(job.fault_log) < 100:
             job.fault_log.append(msg)
 
+    def job_id_for(self, job_key: Any) -> Optional[int]:
+        """The id of the live job submitted under ``job_key``, if any."""
+        with self._lock:
+            return self._job_ids_by_key.get(job_key)
+
+    def job_ids_through(self, batch_index: int) -> List[int]:
+        """Ids of the live streaming jobs — keyed ``(output, batch)`` — for
+        batches up to and including ``batch_index``."""
+        with self._lock:
+            return [
+                job_id
+                for job_key, job_id in self._job_ids_by_key.items()
+                if isinstance(job_key, tuple)
+                and len(job_key) == 2
+                and job_key[1] <= batch_index
+            ]
+
     def drop_job(self, job_id: int) -> None:
         """Garbage-collect a job's shuffle blocks cluster-wide."""
         self.drop_jobs([job_id])

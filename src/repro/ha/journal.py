@@ -14,7 +14,13 @@ and compaction just persists the folded dict.  Journaled transitions
   of map-output locations, and the sink high-water mark (always
   fsynced: this is the recovery line).
 * ``checkpoint`` — streaming checkpoint metadata plus the state-store
-  snapshots needed to resume without re-running history.
+  contents needed to resume without re-running history.  A store is
+  recorded whole (``state_snapshots``: a full base) or as the delta since
+  its previous checkpoint record (``state_deltas``: ``{"updates",
+  "deleted"}``).  The fold applies deltas to its own materialized copy,
+  and compaction persists that copy, so compaction is the only place
+  deltas fold into a full snapshot.  Records that carry only
+  ``state_snapshots`` (every store whole) replay as before.
 * ``shard_map`` — a key-range shard-map flip at an elastic boundary.
 """
 
@@ -75,11 +81,24 @@ def _fold(state: Dict[str, Any], record: WalRecord) -> None:
             k for k in jobs["open"] if k not in set(payload.get("job_keys", []))
         ]
     elif rtype == "checkpoint":
+        previous = state["checkpoint"]
+        prior = previous["state_snapshots"] if previous is not None else {}
+        # The fold owns its containers: a full base is copied, never kept
+        # by reference, because later deltas are applied to it in place.
+        snapshots = {
+            name: dict(full) for name, full in payload.get("state_snapshots", {}).items()
+        }
+        for name, delta in payload.get("state_deltas", {}).items():
+            materialized = prior.get(name, {})
+            materialized.update(delta["updates"])
+            for key in delta["deleted"]:
+                materialized.pop(key, None)
+            snapshots[name] = materialized
         state["checkpoint"] = {
             "batch_index": int(payload["batch_index"]),
             "next_batch": int(payload["next_batch"]),
-            "state_snapshots": payload.get("state_snapshots", {}),
-            "extra": payload.get("extra", {}),
+            "state_snapshots": snapshots,
+            "extra": dict(payload.get("extra", {})),
         }
     elif rtype == "shard_map":
         state["shard_map"] = payload.get("shard_map")
@@ -121,13 +140,28 @@ class RecoveredState:
         return 0
 
 
+def _copy_checkpoint(checkpoint: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
+    """The folded checkpoint in containers of its own (values shared): the
+    fold goes on applying deltas to its copy in place."""
+    if checkpoint is None:
+        return None
+    return dict(
+        checkpoint,
+        state_snapshots={
+            name: dict(snapshot)
+            for name, snapshot in checkpoint["state_snapshots"].items()
+        },
+        extra=dict(checkpoint["extra"]),
+    )
+
+
 def _recovered_from(state: Dict[str, Any], stats: Dict[str, int]) -> RecoveredState:
     return RecoveredState(
         session_epoch=int(state["epoch"]),
         workers=list(state["workers"]),
         template_epoch=int(state["template_epoch"]),
         committed_batches=frozenset(state["committed_batches"]),
-        checkpoint=state["checkpoint"],
+        checkpoint=_copy_checkpoint(state["checkpoint"]),
         shard_map=state["shard_map"],
         jobs=dict(state["jobs"]),
         replay_stats=dict(stats),
@@ -215,19 +249,27 @@ class ControlJournal:
                 self._groups_since_compact = 0
 
     def record_checkpoint(
-        self, batch_index: int, next_batch: int, state_snapshots, extra=None
+        self,
+        batch_index: int,
+        next_batch: int,
+        state_snapshots,
+        extra=None,
+        state_deltas=None,
     ) -> None:
+        """One streaming checkpoint.  ``state_snapshots`` maps each store
+        recorded whole to its contents; ``state_deltas`` maps each other
+        store to ``{"updates": {...}, "deleted": [...]}`` since the
+        previous checkpoint record.  Stores in neither are dropped."""
+        payload = {
+            "batch_index": batch_index,
+            "next_batch": next_batch,
+            "state_snapshots": state_snapshots,
+            "extra": dict(extra or {}),
+        }
+        if state_deltas:
+            payload["state_deltas"] = state_deltas
         with self._lock:
-            self._append(
-                "checkpoint",
-                {
-                    "batch_index": batch_index,
-                    "next_batch": next_batch,
-                    "state_snapshots": state_snapshots,
-                    "extra": dict(extra or {}),
-                },
-                force_sync=True,
-            )
+            self._append("checkpoint", payload, force_sync=True)
 
     def record_shard_map(self, shard_map) -> None:
         with self._lock:

@@ -14,6 +14,7 @@ from repro.common.metrics import (
     COUNT_BATCHES_EXECUTED,
     COUNT_CHAOS_INJECTED,
     COUNT_CHAOS_SUPPRESSED,
+    COUNT_CHECKPOINT_KEYS_COPIED,
     COUNT_CHECKPOINTS,
     COUNT_ELASTIC_DECISIONS,
     COUNT_ELASTIC_RESIZES,
@@ -154,6 +155,7 @@ METRIC_NAMES = frozenset(
         COUNT_GROUPS_SCHEDULED,
         COUNT_BATCHES_EXECUTED,
         COUNT_CHECKPOINTS,
+        COUNT_CHECKPOINT_KEYS_COPIED,
         COUNT_RECOVERIES,
         COUNT_SPECULATIVE,
         COUNT_NET_BYTES_SENT,

@@ -29,19 +29,18 @@ from repro.chaos.plan import (
 )
 from repro.common.clock import Clock, WallClock
 from repro.common.errors import DriverKilled, StreamingError
-from repro.common.metrics import COUNT_CHECKPOINTS, COUNT_HA_RECOVERIES
+from repro.common.metrics import (
+    COUNT_CHECKPOINT_KEYS_COPIED,
+    COUNT_CHECKPOINTS,
+    COUNT_HA_RECOVERIES,
+)
 from repro.dag.plan import PhysicalPlan, collect_action, compile_plan
 from repro.engine.cluster import LocalCluster
 from repro.obs.names import SPAN_CHECKPOINT, SPAN_RECOVERY
 from repro.obs.trace import NULL_RECORDER
 from repro.streaming.dstream import DStream, SourceDStream
 from repro.streaming.sources import LogSource, StreamSource
-from repro.streaming.state import (
-    Checkpoint,
-    CheckpointStore,
-    ShardedStateStore,
-    StateStore,
-)
+from repro.streaming.state import Checkpoint, CheckpointStore, StateStore
 
 
 @dataclass
@@ -108,13 +107,10 @@ class StreamingContext:
     def set_elasticity(self, controller) -> None:
         """Attach an elastic-scaling controller, consulted at every group
         boundary (§3.3: resources adjust between groups, never within).
-        A :class:`repro.elastic.ElasticController` additionally gets every
-        sharded state store registered for key-range migration."""
+        Every state store is registered with it for key-range migration."""
         self._elasticity = controller
-        if hasattr(controller, "register_store"):
-            for store in self.state_stores.values():
-                if isinstance(store, ShardedStateStore):
-                    controller.register_store(store)
+        for store in self.state_stores.values():
+            controller.register_store(store)
 
     # ------------------------------------------------------------------
     # Graph construction
@@ -130,18 +126,14 @@ class StreamingContext:
     def state_store(self, name: str) -> StateStore:
         """Create-or-get a named state store (included in checkpoints).
 
-        With an elastic controller attached the store is sharded: its
-        keyspace is tracked per key-range shard so a resize migrates
-        state instead of dropping it."""
+        With an elastic controller attached the store is registered with
+        it, so its keyspace is tracked per key-range shard and a resize
+        migrates state instead of dropping it."""
         if name not in self.state_stores:
-            if self._elasticity is not None and hasattr(
-                self._elasticity, "register_store"
-            ):
-                store: StateStore = ShardedStateStore(name)
-                self.state_stores[name] = store
+            store = StateStore(name)
+            self.state_stores[name] = store
+            if self._elasticity is not None:
                 self._elasticity.register_store(store)
-            else:
-                self.state_stores[name] = StateStore(name)
         return self.state_stores[name]
 
     def shard_partitioner(self, name: str):
@@ -156,9 +148,7 @@ class StreamingContext:
 
         def _provider():
             controller = self._elasticity
-            if controller is None or not hasattr(controller, "partitioner_for"):
-                return None
-            return controller.partitioner_for(name)
+            return None if controller is None else controller.partitioner_for(name)
 
         return _provider
 
@@ -235,7 +225,7 @@ class StreamingContext:
         still matches what the committed group produced."""
         items: List[Any] = []
         for key in job_keys:
-            job_id = self.driver._job_ids_by_key.get(key)
+            job_id = self.driver.job_id_for(key)
             job = self.driver.jobs.get(job_id) if job_id is not None else None
             if job is not None:
                 items.append((key, sorted(job.map_status.items())))
@@ -300,11 +290,27 @@ class StreamingContext:
         with self.tracer.start_span(
             SPAN_CHECKPOINT, root=True, actor="driver", batch_index=self.next_batch - 1
         ) as span:
+            # Each store copies only the keys changed since its previous
+            # snapshot; the journal records just those changes, or the
+            # whole store after a restore (a full base).
+            snapshots: Dict[str, Dict[Any, Any]] = {}
+            full: Dict[str, Dict[Any, Any]] = {}
+            deltas: Dict[str, Dict[str, Any]] = {}
+            keys_copied: Dict[str, int] = {}
+            tombstones: Dict[str, int] = {}
+            for name, store in self.state_stores.items():
+                snapshots[name] = store.snapshot()
+                delta = store.take_changes()
+                if delta is None:
+                    full[name] = snapshots[name]
+                    keys_copied[name], tombstones[name] = len(snapshots[name]), 0
+                else:
+                    deltas[name] = delta
+                    keys_copied[name] = len(delta["updates"])
+                    tombstones[name] = len(delta["deleted"])
             cp = Checkpoint(
                 batch_index=self.next_batch - 1,
-                state_snapshots={
-                    name: store.snapshot() for name, store in self.state_stores.items()
-                },
+                state_snapshots=snapshots,
                 extra={"next_batch": self.next_batch},
             )
             self.checkpoints.save(cp)
@@ -313,27 +319,25 @@ class StreamingContext:
                 journal.record_checkpoint(
                     cp.batch_index,
                     self.next_batch,
-                    cp.state_snapshots,
+                    full,
                     extra=cp.extra,
+                    state_deltas=deltas,
                 )
             self._batches_since_checkpoint = 0
             self.cluster.metrics.counter(COUNT_CHECKPOINTS).add(1)
+            self.cluster.metrics.counter(COUNT_CHECKPOINT_KEYS_COPIED).add(
+                sum(keys_copied.values())
+            )
             # Shuffle data at or before the checkpoint is no longer needed
             # for recovery; GC it cluster-wide.
-            self._gc_through(cp.batch_index)
-            span.annotate(stores=len(cp.state_snapshots))
+            self.driver.drop_jobs(self.driver.job_ids_through(cp.batch_index))
+            span.annotate(
+                stores=len(snapshots),
+                keys_copied=keys_copied,
+                tombstones=tombstones,
+                full={name: name in full for name in snapshots},
+            )
         return cp
-
-    def _gc_through(self, batch_index: int) -> None:
-        self.driver.drop_jobs(
-            [
-                job_id
-                for job_key, job_id in list(self.driver._job_ids_by_key.items())
-                if isinstance(job_key, tuple)
-                and len(job_key) == 2
-                and job_key[1] <= batch_index
-            ]
-        )
 
     def restore_and_replay(self) -> int:
         """Recover as after a driver/state loss: restore the latest
@@ -383,13 +387,17 @@ class StreamingContext:
             if cp_data is not None:
                 snapshots = cp_data.get("state_snapshots", {})
                 for name, store in self.state_stores.items():
-                    store.restore(dict(snapshots.get(name, {})))
+                    store.restore(snapshots.get(name, {}))
                 # Seed the journal's checkpoint into the in-memory store so
                 # a later restore_and_replay rolls back to it, not to zero.
+                # The store gets containers of its own: the recovered dicts
+                # stay the caller's.
                 self.checkpoints.save(
                     Checkpoint(
                         batch_index=int(cp_data["batch_index"]),
-                        state_snapshots=snapshots,
+                        state_snapshots={
+                            name: dict(snapshot) for name, snapshot in snapshots.items()
+                        },
                         extra=dict(cp_data.get("extra", {})),
                     )
                 )

@@ -40,6 +40,13 @@ class ElasticityController:
         self.policy = policy
         self.decisions: List[ScalingDecision] = []
 
+    def register_store(self, store: Any) -> None:
+        """Advisory scaling moves no state: stores are not tracked."""
+
+    def partitioner_for(self, store_name: str) -> None:
+        """No shard layouts: the default hash partitioner applies."""
+        return None
+
     def at_group_boundary(self, batch_stats: Sequence[Any]) -> ScalingDecision:
         # Count only schedulable machines (excludes ones already draining).
         workers = self.cluster.driver.placement_workers()
