@@ -12,10 +12,11 @@
     python examples/adaptive_streaming.py
 """
 
-from repro.common.config import EngineConf, SchedulingMode
+from repro.common.config import ElasticConf, EngineConf, SchedulingMode
+from repro.elastic import ElasticController
+from repro.elastic.policies import UtilizationScalingPolicy
 from repro.engine.cluster import LocalCluster
 from repro.streaming.context import StreamingContext
-from repro.streaming.elasticity import ElasticityController, UtilizationScalingPolicy
 from repro.streaming.reoptimizer import (
     ReducerCountOptimizer,
     adaptive_reduce_by_key,
@@ -66,7 +67,7 @@ def main() -> None:
         )
 
         # --- elastic scaling (§3.3) -------------------------------------
-        controller = ElasticityController(
+        controller = ElasticController(
             cluster,
             UtilizationScalingPolicy(
                 batch_interval_s=0.05,
@@ -75,6 +76,7 @@ def main() -> None:
                 min_workers=2,
                 max_workers=6,
             ),
+            conf=ElasticConf(cooldown_groups=0),
         )
         ctx.set_elasticity(controller)
 

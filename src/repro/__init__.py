@@ -20,7 +20,6 @@ Old deep import (still works)                  Stable top-level name
 ``repro.common.config.DataPlaneConf``          ``repro.DataPlaneConf``
 ``repro.common.config.TelemetryConf``          ``repro.TelemetryConf``
 ``repro.common.config.ChaosConf``              ``repro.ChaosConf``
-``repro.common.config.TemplateConf``           ``repro.TemplateConf``
 ``repro.common.config.ElasticConf``            ``repro.ElasticConf``
 ``repro.common.config.TunerConf``              ``repro.TunerConf``
 ``repro.common.config.TracingConf``            ``repro.TracingConf``
@@ -35,8 +34,7 @@ Layers (bottom-up):
 * :mod:`repro.engine` — real threaded BSP engine (the "Spark" substrate)
   with Drizzle's group scheduling and pre-scheduling built in.
 * :mod:`repro.core` — the paper's contribution as pure policy: group
-  planning, pre-scheduling dependency tables, execution templates, the
-  AIMD group-size tuner.
+  planning, pre-scheduling dependency tables, the AIMD group-size tuner.
 * :mod:`repro.streaming` — micro-batch streaming (DStreams, state,
   checkpoints, exactly-once sinks) on top of the engine.
 * :mod:`repro.continuous` — a continuous-operator engine (the "Flink"
@@ -64,7 +62,6 @@ from repro.common.config import (
     SchedulingMode,
     SpeculationConf,
     TelemetryConf,
-    TemplateConf,
     TracingConf,
     TransportConf,
     TunerConf,
@@ -90,7 +87,6 @@ __all__ = [
     "SpeculationConf",
     "StreamingContext",
     "TelemetryConf",
-    "TemplateConf",
     "TracingConf",
     "TransportConf",
     "TunerConf",

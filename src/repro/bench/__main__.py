@@ -218,9 +218,7 @@ def _executors() -> str:
 def _transport() -> str:
     rows = transport_coordination()
     _STRUCTURED_ROWS["transport"] = rows
-    sweep = [r for r in rows if r["workload"] == "sweep"]
-    steady = [r for r in rows if r["workload"] == "steady"]
-    report = render_table(
+    return render_table(
         ["transport", "group_size", "ms_per_batch", "rpc_messages",
          "bytes_sent", "bytes_received", "fetch_batches", "buckets/fetch",
          "saved_bytes", "rpc_p50_ms", "rpc_p95_ms"],
@@ -228,28 +226,11 @@ def _transport() -> str:
           r["bytes_sent"], r["bytes_received"], r["fetch_batches"],
           r["buckets_per_fetch"], r["bytes_saved_compression"],
           r["rpc_p50_ms"], r["rpc_p95_ms"]]
-         for r in sweep],
+         for r in rows],
         title="Transport backends — real sockets vs in-process calls on the "
               "engine (group scheduling amortizes the wire cost, §3.1; "
               "fetches batched per peer, stage blobs shipped once)",
     )
-    if steady:
-        report += "\n\n" + render_table(
-            ["templates", "group_size", "groups", "ms_per_group",
-             "launch_bytes_per_group", "template_hits", "template_misses",
-             "template_bytes_saved", "rpc_messages"],
-            [[r["templates"], r["group_size"], r["groups"], r["ms_per_group"],
-              r["launch_bytes_per_group"], r["template_hits"],
-              r["template_misses"], r["template_bytes_saved"],
-              r["rpc_messages"]]
-             for r in steady],
-            title="Execution templates on tcp — steady-state streaming "
-                  "workload; with templates on, driver launch bytes per "
-                  "group stay flat as the group size grows (one "
-                  "instantiate_template per worker replaces the per-task "
-                  "payload)",
-        )
-    return report
 
 
 def _telemetry() -> str:

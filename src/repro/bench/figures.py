@@ -522,7 +522,6 @@ def transport_coordination(
     batches: int = 100,
     workers: int = 2,
     slots: int = 2,
-    template_group_sizes: Sequence[int] = (10, 20),
 ) -> List[Dict]:
     """Fig 5-style sweep on the *actual* engine: coordination cost of the
     tcp transport vs the in-process one, with the group size on the
@@ -537,24 +536,10 @@ def transport_coordination(
     paper's argument made measurable.  Bytes on the wire and per-call
     round-trip percentiles come from the ``net.*`` counters and the
     ``net.call_latency.*`` histograms.
-
-    The ``workload="steady"`` rows add the execution-template tier
-    (repro.core.templates) on tcp: a streaming-shaped workload whose plan
-    content repeats every batch, measured with ``TemplateConf`` off vs on
-    at each size in ``template_group_sizes``.  One warm-up group at the
-    measured size installs the templates, so the timed region is steady
-    state — ``launch_bytes_per_group`` with templates on should be flat
-    in the group size (the instantiate message carries only batch ids),
-    while the templates-off stage-blob path stays O(group size).
     """
     import time
 
-    from repro.common.config import (
-        EngineConf,
-        SchedulingMode,
-        TemplateConf,
-        TransportConf,
-    )
+    from repro.common.config import EngineConf, SchedulingMode, TransportConf
     from repro.common.metrics import (
         COUNT_LAUNCH_RPCS,
         COUNT_NET_BYTES_RECEIVED,
@@ -563,12 +548,9 @@ def transport_coordination(
         COUNT_NET_CONNECTIONS,
         COUNT_NET_FETCH_BATCHES,
         COUNT_NET_LAUNCH_BYTES_SENT,
-        COUNT_NET_TEMPLATE_BYTES_SAVED,
         COUNT_RPC_MESSAGES,
         COUNT_STAGE_CACHE_HIT,
         COUNT_STAGE_CACHE_MISS,
-        COUNT_TEMPLATE_HIT,
-        COUNT_TEMPLATE_MISS,
         HIST_NET_BUCKETS_PER_FETCH,
         HIST_NET_CALL_LATENCY,
     )
@@ -587,47 +569,25 @@ def transport_coordination(
         )
         return compile_plan(ds, dict_action())
 
-    def build_steady(_b: int):
-        # Identical plan *content* every batch (nothing varying captured):
-        # the streaming steady state, where execution templates can hit.
-        ds = (
-            parallelize(range(40), partitions)
-            .map(lambda x: (x % 4, x))
-            .reduce_by_key(lambda a, b: a + b, 2)
-        )
-        return compile_plan(ds, dict_action())
-
-    def run_one(
-        transport: str, group_size: int, templates_on: bool, steady: bool
-    ) -> Dict:
+    def run_one(transport: str, group_size: int) -> Dict:
         conf = EngineConf(
             num_workers=workers,
             slots_per_worker=slots,
             scheduling_mode=SchedulingMode.DRIZZLE,
             group_size=group_size,
             transport=TransportConf(backend=transport),
-            templates=TemplateConf(enabled=templates_on),
         )
-        build_fn = build_steady if steady else build
         with LocalCluster(conf) as cluster:
-            if steady:
-                # Warm-up: one full group at the measured size dials the
-                # pools, ships the closures, and installs the templates —
-                # the timed region below is pure steady state.
-                cluster.run_group([build_fn(b) for b in range(group_size)])
-            else:
-                # Warm-up batch: dials the connection pools and ships the
-                # first closures, so the timed run measures steady state.
-                cluster.run_plan(build(10_000))
+            # Warm-up batch: dials the connection pools and ships the
+            # first closures, so the timed run measures steady state.
+            cluster.run_plan(build(10_000))
             cluster.metrics.reset()
             start = time.perf_counter()
             done = 0
             groups = 0
             while done < batches:
                 chunk = min(group_size, batches - done)
-                cluster.run_group(
-                    [build_fn(b) for b in range(done, done + chunk)]
-                )
+                cluster.run_group([build(b) for b in range(done, done + chunk)])
                 done += chunk
                 groups += 1
             wall_s = time.perf_counter() - start
@@ -643,8 +603,6 @@ def transport_coordination(
         launch_bytes = counters.get(COUNT_NET_LAUNCH_BYTES_SENT, 0.0)
         return {
             "transport": transport,
-            "workload": "steady" if steady else "sweep",
-            "templates": "on" if templates_on else "off",
             "group_size": group_size,
             "batches": batches,
             "groups": groups,
@@ -670,27 +628,16 @@ def transport_coordination(
             "stage_cache_hits": counters.get(COUNT_STAGE_CACHE_HIT, 0.0),
             "stage_cache_misses": counters.get(COUNT_STAGE_CACHE_MISS, 0.0),
             "compression": conf.transport.data_plane.compression,
-            # Execution-template tier (driver-side launch bytes only).
+            # Driver-side launch bytes only.
             "launch_bytes_sent": launch_bytes,
             "launch_bytes_per_group": launch_bytes / groups if groups else 0.0,
-            "template_hits": counters.get(COUNT_TEMPLATE_HIT, 0.0),
-            "template_misses": counters.get(COUNT_TEMPLATE_MISS, 0.0),
-            "template_bytes_saved": counters.get(
-                COUNT_NET_TEMPLATE_BYTES_SAVED, 0.0
-            ),
         }
 
-    rows: List[Dict] = []
-    for transport in transports:
-        for group_size in group_sizes:
-            rows.append(run_one(transport, group_size, False, steady=False))
-    # Template rows are tcp-only: the instantiate fast path is a wire
-    # optimization, meaningless where launches are method calls.
-    if "tcp" in transports:
-        for group_size in template_group_sizes:
-            for templates_on in (False, True):
-                rows.append(run_one("tcp", group_size, templates_on, steady=True))
-    return rows
+    return [
+        run_one(transport, group_size)
+        for transport in transports
+        for group_size in group_sizes
+    ]
 
 
 def telemetry_overhead(

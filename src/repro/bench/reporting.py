@@ -159,7 +159,6 @@ _BASELINE_KEY_FIELDS = (
     "mode",
     "machines",
     "workload",
-    "templates",
     "group_size",
 )
 

@@ -186,8 +186,9 @@ class DataPlaneConf:
     ``docs/networking.md``).
 
     These govern the fast path for bulk payloads on the tcp transport:
-    batched shuffle fetches, content-addressed stage-blob caching on the
-    launch path, and per-frame payload compression.
+    batched shuffle fetches and per-frame payload compression.  (The
+    launch path's stage-blob cache has a fixed size; see
+    ``repro.net.stageblobs``.)
     """
 
     # Concurrent per-peer fetch_buckets RPCs a reduce task may have in
@@ -199,9 +200,6 @@ class DataPlaneConf:
     # frames on small test traffic.
     compression: str = field(default_factory=_default_compression)
     compress_threshold_bytes: int = 4096
-    # Serialized stage closures cached per transport, keyed by content
-    # digest; 0 disables the cache and ships full plans in every launch.
-    stage_blob_cache_entries: int = 64
 
     def validate(self) -> None:
         if self.max_concurrent_fetches < 1:
@@ -213,8 +211,6 @@ class DataPlaneConf:
             )
         if self.compress_threshold_bytes < 0:
             raise ConfigError("compress_threshold_bytes must be >= 0")
-        if self.stage_blob_cache_entries < 0:
-            raise ConfigError("stage_blob_cache_entries must be >= 0")
 
 
 @dataclass
@@ -241,8 +237,7 @@ class TransportConf:
     # End-to-end budget for one request/response round trip; a peer that
     # accepts but never answers surfaces as WorkerLost, not a hang.
     call_timeout_s: float = 30.0
-    # Bulk-payload fast path: fetch batching, stage-blob caching, frame
-    # compression.
+    # Bulk-payload fast path: fetch batching, frame compression.
     data_plane: DataPlaneConf = field(default_factory=DataPlaneConf)
 
     def validate(self) -> None:
@@ -392,42 +387,6 @@ class ChaosConf:
             raise ConfigError("chaos max_worker_kills must be >= 0")
 
 
-def _default_templates_enabled() -> bool:
-    # REPRO_TEMPLATES=1 arms execution templates for a whole pytest or
-    # soak run, mirroring REPRO_TELEMETRY / REPRO_TRANSPORT.
-    return os.environ.get("REPRO_TEMPLATES", "").strip().lower() in (
-        "1",
-        "true",
-        "on",
-        "yes",
-    )
-
-
-@dataclass
-class TemplateConf:
-    """Execution templates for O(1) steady-state group launches.
-
-    After the first launch of a (plan, placement, group-size)
-    combination, each worker caches the full instantiated group schedule
-    — task descriptors, slot placement, and pre-scheduled shuffle wiring
-    — keyed by a content digest.  Subsequent launches of the same shape
-    become one small ``instantiate_template(template_id, batch_ids,
-    epoch)`` RPC per worker instead of per-task payloads (Execution
-    Templates, Mashayekhi et al.; see "Execution templates" in
-    ``docs/networking.md``).  Templates are invalidated whenever cluster
-    membership changes (worker join/leave/re-announce).
-    """
-
-    enabled: bool = field(default_factory=_default_templates_enabled)
-    # Templates cached per worker (and tracked per peer on the driver's
-    # transport); oldest-installed entries are evicted beyond this.
-    max_per_worker: int = 32
-
-    def validate(self) -> None:
-        if self.max_per_worker < 1:
-            raise ConfigError("templates max_per_worker must be >= 1")
-
-
 # Names resolvable by ElasticController when no policy object is given;
 # the authoritative constructors live in repro.elastic.policies.
 ELASTIC_POLICIES = ("signals", "utilization")
@@ -435,7 +394,7 @@ ELASTIC_POLICIES = ("signals", "utilization")
 
 def _default_elastic_enabled() -> bool:
     # REPRO_ELASTIC=1 arms the autoscaling controller for a whole pytest
-    # or soak run, mirroring REPRO_TEMPLATES / REPRO_TELEMETRY.
+    # or soak run, mirroring REPRO_TELEMETRY.
     return os.environ.get("REPRO_ELASTIC", "").strip().lower() in (
         "1",
         "true",
@@ -492,7 +451,7 @@ class ElasticConf:
 
 def _default_ha_enabled() -> bool:
     # REPRO_HA=1 arms the driver WAL for a whole pytest or soak run,
-    # mirroring REPRO_TEMPLATES / REPRO_TELEMETRY.
+    # mirroring REPRO_ELASTIC / REPRO_TELEMETRY.
     return _env_flag("REPRO_HA")
 
 
@@ -552,7 +511,6 @@ class EngineConf:
     monitor: MonitorConf = field(default_factory=MonitorConf)
     chaos: ChaosConf = field(default_factory=ChaosConf)
     telemetry: TelemetryConf = field(default_factory=TelemetryConf)
-    templates: TemplateConf = field(default_factory=TemplateConf)
     elastic: ElasticConf = field(default_factory=ElasticConf)
     ha: HaConf = field(default_factory=HaConf)
     # Deadline for one stage (and for wait_job when no explicit timeout is
@@ -588,7 +546,6 @@ class EngineConf:
         self.monitor.validate()
         self.chaos.validate()
         self.telemetry.validate()
-        self.templates.validate()
         self.elastic.validate()
         self.ha.validate()
         if (

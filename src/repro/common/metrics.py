@@ -317,19 +317,8 @@ HIST_NET_BUCKETS_PER_FETCH = "net.buckets_per_fetch"
 COUNT_NET_BYTES_SAVED_COMPRESSION = "net.bytes_saved_compression"
 COUNT_STAGE_CACHE_HIT = "serde.stage_cache_hit"
 COUNT_STAGE_CACHE_MISS = "serde.stage_cache_miss"
-# Execution templates (repro.core.templates): a "hit" is a steady-state
-# group launch that crossed the wire as one instantiate_template RPC per
-# worker; a "miss" shipped the full per-task group payload (first launch
-# of a shape, or a template_miss reship after worker-side eviction); an
-# "invalidated" counts one template dropped on a membership change.
-# net.template_bytes_saved accumulates the full-launch wire size a hit
-# avoided, minus the instantiate payload it sent instead.
 # net.launch_bytes_sent isolates driver launch-path wire bytes from the
 # O(group) fetch/report traffic so the bench can show bytes/group.
-COUNT_TEMPLATE_HIT = "templates.hit"
-COUNT_TEMPLATE_MISS = "templates.miss"
-COUNT_TEMPLATE_INVALIDATED = "templates.invalidated"
-COUNT_NET_TEMPLATE_BYTES_SAVED = "net.template_bytes_saved"
 COUNT_NET_LAUNCH_BYTES_SENT = "net.launch_bytes_sent"
 # Fault injection (repro.chaos): every fault the injector fires counts
 # once here and once on a per-kind counter named "chaos.<kind>"

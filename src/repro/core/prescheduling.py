@@ -88,15 +88,9 @@ class PendingTaskTable:
       worker can be fast, or the driver pre-populates completed
       dependencies when re-scheduling onto a new machine after a failure,
       §3.3).  Early notifications are buffered in ``_seen``.
-
-    ``epoch`` tags the table with the cluster-membership epoch it was
-    created under (execution templates, repro.core.templates): a table's
-    dependency wiring bakes in worker placement, so a worker can tell a
-    table built before a membership change from one built after it.
     """
 
-    def __init__(self, epoch: int = 0) -> None:
-        self.epoch = epoch
+    def __init__(self) -> None:
         self._pending: Dict[str, PendingEntry] = {}
         self._seen: Set[DepKey] = set()
         self._activated: Set[str] = set()

@@ -3,10 +3,9 @@
 "At the end of a group boundary, Drizzle updates the list of available
 resources and adjusts the tasks to be scheduled for the next group."
 
-The controller closes the loop that the advisory policies in
-:mod:`repro.streaming.elasticity` used to leave open: each group
-boundary it reads the cluster's live telemetry signals, asks its
-:class:`~repro.elastic.policies.ScalingPolicy` for a decision, and — when
+Each group boundary the controller reads the cluster's live telemetry
+signals, asks its :class:`~repro.elastic.policies.ScalingPolicy` for a
+decision, and — when
 the decision survives the cooldown and the min/max clamp — actually
 resizes the cluster and migrates stateful key-range shards so the next
 group's tasks hash to the new layout.  In-flight groups are never
@@ -16,8 +15,7 @@ barrier that takes checkpoints.
 Safety properties:
 
 * resizes go through ``cluster.add_worker`` / ``decommission_worker``,
-  which bump the driver's template membership epoch — execution templates
-  are invalidated on both sides exactly as for a crash;
+  the same membership path a crash takes;
 * shard migration is planned per store by :func:`plan_resize` (minimal
   moves: split/merge of key ranges, not whole-partition reshuffles) and
   executed by :class:`~repro.elastic.migration.MigrationExecutor` with
@@ -66,10 +64,10 @@ class ElasticController:
     :meth:`StreamingContext.set_elasticity` (done automatically when
     ``EngineConf.elastic.enabled``).
 
-    The public compatibility surface matches the old advisory
-    ``ElasticityController``: construct with ``(cluster, policy)``, call
-    :meth:`at_group_boundary` with the batch-stats history, read
-    ``.decisions``.
+    Construct with ``(cluster, policy, conf=...)`` — ``conf`` defaults to
+    the cluster's ``EngineConf.elastic`` — then the streaming context calls
+    :meth:`at_group_boundary` with the batch-stats history; read
+    ``.decisions`` and ``.plans``.
     """
 
     def __init__(

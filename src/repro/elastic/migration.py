@@ -69,7 +69,7 @@ class MigrationExecutor:
 
     ``on_worker_lost`` is the driver's loss handler: a peer that fails a
     migration RPC is reported exactly like one that fails a launch, so
-    membership, templates, and recovery react through the one existing
+    membership and recovery react through the one existing
     path.  ``kill_cb`` lets the chaos profile crash a worker *racing* the
     migration (the ``elastic`` profile's signature fault).
     """

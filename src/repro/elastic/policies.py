@@ -8,8 +8,8 @@ resources and adjusts the tasks to be scheduled for the next group."
 A policy inspects recent batch timings (and, for the signal-driven
 policy, the cluster's live telemetry signals) and recommends a resize;
 the controller applies recommendations only at group boundaries, so
-in-flight groups are never disturbed.  These classes used to live in
-:mod:`repro.streaming.elasticity`, which still re-exports them.
+in-flight groups are never disturbed.  :mod:`repro.streaming`
+re-exports the common ones.
 """
 
 from __future__ import annotations

@@ -53,7 +53,6 @@ from repro.common.metrics import (
 )
 from repro.core.groups import CoordinationLedger, PlacementPolicy, StageTemplate
 from repro.core.prescheduling import DepKey
-from repro.core.templates import PlanDigestCache, compute_template_id
 from repro.core.tuner import GroupSizeTuner
 from repro.dag.plan import PhysicalPlan, StageSpec
 from repro.engine.rpc import BaseTransport
@@ -159,12 +158,6 @@ class Driver:
             GroupSizeTuner(conf.tuner, conf.group_size) if conf.tuner.enabled else None
         )
         self.last_group_ledger: Optional[CoordinationLedger] = None
-        # Execution templates (repro.core.templates): the epoch counts
-        # membership changes — any join/leave/re-announce bumps it and
-        # clears the transport's shipped-template registry, so a stale
-        # template can never instantiate under the new placement.
-        self._template_epoch = 0
-        self._plan_digests = PlanDigestCache()
         # Live telemetry store (repro.obs.live), wired by LocalCluster
         # when TelemetryConf.enabled; heartbeat deltas land here.
         self.telemetry = None
@@ -184,7 +177,6 @@ class Driver:
             self._alive.add(worker_id)
             self._draining.discard(worker_id)
             self._last_heartbeat[worker_id] = self.clock.now()
-            self._bump_template_epoch()
         self._annotate_scale_event(worker_id, "join", "worker added")
         self._journal_membership()
 
@@ -193,7 +185,6 @@ class Driver:
         finish normally (elasticity at group boundaries, §3.3)."""
         with self._lock:
             self._draining.add(worker_id)
-            self._bump_template_epoch()
         self._annotate_scale_event(worker_id, "leave", "decommissioned")
         self._journal_membership()
 
@@ -201,8 +192,7 @@ class Driver:
         if self.journal is not None:
             with self._lock:
                 workers = sorted(self._alive - self._draining)
-                epoch = self._template_epoch
-            self.journal.record_membership(workers, template_epoch=epoch)
+            self.journal.record_membership(workers)
 
     def _epoch_kwargs(self) -> Dict[str, int]:
         """The fencing stamp for worker-bound messages; empty when HA is
@@ -217,15 +207,6 @@ class Driver:
                 self.telemetry.annotate_scale_event(worker_id, action, reason)
             except Exception:
                 pass  # observability must never break membership changes
-
-    def _bump_template_epoch(self) -> None:
-        """Membership changed (caller holds the lock): cached execution
-        templates bake the old placement into their downstream pointers,
-        so every one of them — driver-side shipped sets and worker-side
-        stores alike — must die.  The epoch bump makes worker copies
-        uninstantiable; the transport drop clears the send side."""
-        self._template_epoch += 1
-        self.transport.invalidate_templates()
 
     def alive_workers(self) -> List[str]:
         with self._lock:
@@ -729,28 +710,11 @@ class Driver:
                 tasks=sum(len(d) for d in per_worker.values()),
             )
 
-        # Execution templates: identical group shapes (plan content,
-        # placement, group size) digest to the same template id, so the
-        # transport can replace the per-task payload with one
-        # instantiate_template message per worker on repeat launches.
-        # Tracing disqualifies a launch — descriptors then carry
-        # per-batch span contexts, which a cached template cannot.
-        template_meta: Dict[str, Tuple[str, Tuple[int, ...], int]] = {}
-        if self.conf.templates.enabled and not self.tracer.enabled:
-            epoch = self._template_epoch
-            batch_ids = tuple(job_ids)
-            for worker_id, descs in per_worker.items():
-                template_meta[worker_id] = (
-                    compute_template_id(descs, batch_ids, self._plan_digests),
-                    batch_ids,
-                    epoch,
-                )
-
         xfer_start = self.clock.now()
         for worker_id in sorted(per_worker):
             self.metrics.counter(COUNT_TASKS_LAUNCHED).add(len(per_worker[worker_id]))
             self.metrics.counter(COUNT_LAUNCH_RPCS).add(1)
-        lost = self._launch_group(per_worker, template_meta)
+        lost = self._launch_group(per_worker)
         if lost:
             # Error fidelity: each loss report carries the full split of
             # the parallel launch, not just the one failed id.
@@ -796,16 +760,9 @@ class Driver:
     def _launch_group(
         self,
         per_worker: Dict[str, List[TaskDescriptor]],
-        template_meta: Optional[Dict[str, Tuple[str, Tuple[int, ...], int]]] = None,
     ) -> Dict[str, str]:
         """Send one ``launch_tasks`` per worker; returns the workers that
         were lost mid-launch, mapped to the loss reason.
-
-        ``template_meta`` (worker -> ``(template_id, batch_ids, epoch)``)
-        rides along with eligible launches; the tcp transport uses it to
-        ship a cached-template instantiation instead of the full payload,
-        other transports deliver it to the worker as an installation hint.
-        Either way it is still one counted message per worker per group.
 
         Over tcp the per-worker launches are independent wire round trips,
         so they go out concurrently (bounded like the fetch path by
@@ -815,25 +772,13 @@ class Driver:
         Message counts are identical either way."""
         workers = sorted(per_worker)
         lost: Dict[str, str] = {}
-        meta = template_meta or {}
-
         ek = self._epoch_kwargs()
 
         def launch(worker_id: str) -> Optional[Tuple[str, str]]:
             try:
-                worker_meta = meta.get(worker_id)
-                if worker_meta is None:
-                    self.transport.call(
-                        worker_id, "launch_tasks", per_worker[worker_id], **ek
-                    )
-                else:
-                    self.transport.call(
-                        worker_id,
-                        "launch_tasks",
-                        per_worker[worker_id],
-                        worker_meta,
-                        **ek,
-                    )
+                self.transport.call(
+                    worker_id, "launch_tasks", per_worker[worker_id], **ek
+                )
                 return None
             except WorkerLost as err:
                 return (worker_id, err.reason)
@@ -1187,13 +1132,9 @@ class Driver:
         self._draining.discard(worker_id)
         self.metrics.counter(COUNT_RECOVERIES).add(1)
         self.transport.mark_dead(worker_id)
-        self._bump_template_epoch()
         self._annotate_scale_event(worker_id, "lost", reason)
         if self.journal is not None:
-            self.journal.record_membership(
-                sorted(self._alive - self._draining),
-                template_epoch=self._template_epoch,
-            )
+            self.journal.record_membership(sorted(self._alive - self._draining))
         for job in self.jobs.values():
             if not job.is_finished():
                 self._note_fault(job, f"worker {worker_id} lost: {reason}")

@@ -42,11 +42,6 @@ from repro.obs.trace import NULL_RECORDER, Recorder, SpanContext
 # discovery, and never touch COUNT_RPC_MESSAGES.
 LAUNCH_TASKS = "launch_tasks"
 FETCH_BUCKETS = "fetch_buckets"
-# Steady-state group launch against a worker-cached execution template
-# (repro.core.templates): the tcp transport rewrites an eligible
-# launch_tasks call into this much smaller message when the peer holds
-# the template — still exactly one counted engine message.
-INSTANTIATE_TEMPLATE = "instantiate_template"
 
 
 @dataclass(frozen=True)
@@ -134,13 +129,6 @@ class BaseTransport:
         telemetry preserves the ±0 message-count parity between
         transports.  Best-effort: returns whether the delta was taken."""
         return False
-
-    def invalidate_templates(self) -> int:
-        """Drop every execution template this transport believes its peers
-        hold (driver-side, on cluster-membership change).  The in-process
-        transport ships no templates, so there is nothing to drop; the tcp
-        transport overrides this.  Returns how many were dropped."""
-        return 0
 
     def evict(self, endpoint_id: str) -> None:
         """Remove a decommissioned endpoint from the discovery directory so

@@ -50,7 +50,6 @@ from repro.common.metrics import (
     MetricsRegistry,
 )
 from repro.core.prescheduling import DepKey, PendingTaskTable
-from repro.core.templates import TemplateStore
 from repro.elastic.shards import shard_position
 from repro.engine.blocks import BUCKET_OK, BlockStore
 from repro.engine.executors import ComputeRequest, create_backend
@@ -153,16 +152,6 @@ class Worker:
             self._telemetry_snap = DeltaSnapshotter(
                 self.telemetry_metrics, conf.telemetry.max_samples_per_delta
             )
-        # Execution templates (repro.core.templates): cached group-launch
-        # shapes, re-runnable via one instantiate_template message.  The
-        # epoch tracks the last cluster-membership generation a template
-        # arrived under, and tags PendingTaskTables built from it.
-        self.templates: Optional[TemplateStore] = (
-            TemplateStore(conf.templates.max_per_worker)
-            if conf.templates.enabled
-            else None
-        )
-        self._template_epoch = 0
         # Driver session-epoch fencing (repro.ha): the highest epoch seen
         # on any driver message.  A message stamped with a *lower* epoch
         # comes from a zombie — a driver believed dead whose restart
@@ -206,8 +195,6 @@ class Worker:
             self._parked.clear()
             self._accepted_at.clear()
             self._state_shards.clear()
-        if self.templates is not None:
-            self.templates.invalidate_all()
         self._stop_hb.set()
         self._stop_tel.set()
         if self._fetch_pool is not None:
@@ -273,45 +260,13 @@ class Worker:
     def launch_tasks(
         self,
         descriptors: List[TaskDescriptor],
-        template: Optional[Tuple[str, List[int], int]] = None,
         driver_epoch: Optional[int] = None,
     ) -> None:
         """Receive a batch of tasks in one message.  Under group scheduling
-        this batch spans every micro-batch in the group (§3.1).
-
-        ``template`` — optional ``(template_id, batch_ids, epoch)`` from a
-        template-eligible group launch: cache this batch as an execution
-        template so the next launch of the same shape can arrive as
-        :meth:`instantiate_template` instead of a full payload."""
+        this batch spans every micro-batch in the group (§3.1)."""
         self._fence(driver_epoch)
-        if template is not None and self.templates is not None:
-            template_id, batch_ids, epoch = template
-            if self.templates.install(template_id, epoch, descriptors, batch_ids):
-                self._template_epoch = max(self._template_epoch, epoch)
         for desc in descriptors:
             self._accept(desc)
-
-    def instantiate_template(
-        self,
-        template_id: str,
-        batch_ids: List[int],
-        epoch: int,
-        driver_epoch: Optional[int] = None,
-    ) -> bool:
-        """Re-run a cached execution template with fresh batch (job) ids —
-        the steady-state group launch.  Returns False when the template is
-        absent, stale (older membership epoch), or shaped for a different
-        group size; the transport surfaces that as ``template_miss`` and
-        the driver falls back to a full launch."""
-        self._fence(driver_epoch)
-        if self.templates is None:
-            return False
-        descriptors = self.templates.instantiate(template_id, batch_ids, epoch)
-        if descriptors is None:
-            return False
-        for desc in descriptors:
-            self._accept(desc)
-        return True
 
     def _accept(self, desc: TaskDescriptor) -> None:
         with self._lock:
@@ -320,7 +275,7 @@ class Worker:
             self._tel_note_accept(str(desc.task_id))
             if desc.pre_scheduled and desc.deps:
                 job_id = desc.task_id.job_id
-                table = self._pending.setdefault(job_id, PendingTaskTable(self._template_epoch))
+                table = self._pending.setdefault(job_id, PendingTaskTable())
                 # Key by attempt so a recovery resubmission of the same
                 # task registers cleanly alongside its dead predecessor.
                 key = str(desc.task_id)
@@ -364,7 +319,7 @@ class Worker:
         with self._lock:
             if self._dead:
                 return
-            table = self._pending.setdefault(job_id, PendingTaskTable(self._template_epoch))
+            table = self._pending.setdefault(job_id, PendingTaskTable())
             locations = self._dep_locations.setdefault(job_id, {})
             for entry in completed:
                 (shuffle_id, map_index), location = entry[0], entry[1]
@@ -417,7 +372,7 @@ class Worker:
                 src_worker,
                 epoch,
             )
-            table = self._pending.setdefault(job_id, PendingTaskTable(self._template_epoch))
+            table = self._pending.setdefault(job_id, PendingTaskTable())
             for key in table.notify((shuffle_id, map_index)):
                 desc = self._parked.pop((job_id, key), None)
                 if desc is not None:

@@ -8,7 +8,7 @@ losses).  This package closes that gap with three pieces:
   write-ahead log (the ``repro.net.framing`` record style, on disk) with
   snapshot compaction and a torn-tail-tolerant reader.
 * :mod:`repro.ha.journal` — the control-plane journal layered on the
-  WAL: session epochs, membership + template epochs, job events, group
+  WAL: session epochs, membership, job events, group
   commits (the §3.3 commit points), streaming checkpoint metadata and
   sink high-water marks, folded into a live-state dict so compaction and
   replay stay O(live state).

@@ -7,8 +7,8 @@ and compaction just persists the folded dict.  Journaled transitions
 
 * ``session`` — a new driver session epoch (always fsynced: the epoch is
   the fencing token, it must never be resurrected lower).
-* ``membership`` — the live worker set + template epoch after a
-  join/decommission.
+* ``membership`` — the live worker set after a join/decommission.  Older
+  records may carry extra keys; the fold reads only ``workers``.
 * ``job`` — job submission/completion bookkeeping.
 * ``group_commit`` — one committed streaming group: batch ids, a digest
   of map-output locations, and the sink high-water mark (always
@@ -38,7 +38,6 @@ def _initial_state() -> Dict[str, Any]:
     return {
         "epoch": 0,
         "workers": [],
-        "template_epoch": 0,
         "jobs": {"submitted": 0, "completed": 0, "open": []},
         "committed_batches": set(),
         "last_group": None,
@@ -56,7 +55,6 @@ def _fold(state: Dict[str, Any], record: WalRecord) -> None:
         state["epoch"] = max(state["epoch"], int(payload["epoch"]))
     elif rtype == "membership":
         state["workers"] = list(payload["workers"])
-        state["template_epoch"] = int(payload.get("template_epoch", 0))
     elif rtype == "job":
         jobs = state["jobs"]
         key = payload.get("key")
@@ -125,7 +123,6 @@ class RecoveredState:
 
     session_epoch: int
     workers: List[str]
-    template_epoch: int
     committed_batches: frozenset
     checkpoint: Optional[Dict[str, Any]]
     shard_map: Any
@@ -159,7 +156,6 @@ def _recovered_from(state: Dict[str, Any], stats: Dict[str, int]) -> RecoveredSt
     return RecoveredState(
         session_epoch=int(state["epoch"]),
         workers=list(state["workers"]),
-        template_epoch=int(state["template_epoch"]),
         committed_batches=frozenset(state["committed_batches"]),
         checkpoint=_copy_checkpoint(state["checkpoint"]),
         shard_map=state["shard_map"],
@@ -210,13 +206,9 @@ class ControlJournal:
         _fold(self._state, record)
         self.wal.append(record_type, payload, force_sync=force_sync)
 
-    def record_membership(self, workers, template_epoch: int = 0) -> None:
+    def record_membership(self, workers) -> None:
         with self._lock:
-            self._append(
-                "membership",
-                {"workers": sorted(workers), "template_epoch": template_epoch},
-                force_sync=False,
-            )
+            self._append("membership", {"workers": sorted(workers)}, force_sync=False)
 
     def record_job(self, event: str, job_id: int, key: Any = None) -> None:
         with self._lock:

@@ -37,6 +37,12 @@ from repro.dag.serde import dumps_closure, loads_closure
 from repro.engine.task import TaskDescriptor
 
 
+# Plans cached per side (sender memo and receiver cache).  A streaming
+# job repeats one plan per output operator, so a few entries already hit
+# at steady state; 64 leaves room for a sweep of distinct plans.
+CACHE_ENTRIES = 64
+
+
 def blob_digest(blob: bytes) -> str:
     """Content address of one serialized plan."""
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -66,40 +72,12 @@ class WireLaunch:
     blobs: Dict[str, bytes]
 
 
-@dataclass
-class WireGroupLaunch:
-    """A full group launch that doubles as a template installation
-    (repro.core.templates): the receiver decodes ``launch`` as usual,
-    then caches the decoded descriptors under ``template_id`` with
-    ``batch_ids`` as the substitution parameters, so the *next* launch of
-    the same shape can be a :class:`WireTemplateInstantiate` instead."""
-
-    launch: WireLaunch
-    template_id: str
-    batch_ids: List[int]
-    epoch: int
-
-
-@dataclass
-class WireTemplateInstantiate:
-    """The steady-state group launch: no descriptors, no blobs — just the
-    template to re-run and the batch (job) ids to substitute into it.
-    A receiver that does not hold ``(template_id, epoch)`` answers
-    ``template_miss`` and the sender re-ships the full
-    :class:`WireGroupLaunch` within the same counted exchange."""
-
-    template_id: str
-    batch_ids: List[int]
-    epoch: int
-
-
 class StageBlobSender:
     """Driver/launcher side: plan serialization memo + per-peer shipped
     sets."""
 
-    def __init__(self, metrics: MetricsRegistry, cache_entries: int = 64):
+    def __init__(self, metrics: MetricsRegistry):
         self.metrics = metrics
-        self._cache_entries = cache_entries
         self._lock = threading.Lock()
         # id(plan) -> (plan, digest, blob).  The plan reference keeps the
         # id stable for the cache's lifetime (and guards against reuse of
@@ -111,7 +89,7 @@ class StageBlobSender:
     def _entry(self, plan: Any) -> Tuple[str, bytes]:
         entry = self._blobs.get(id(plan))
         if entry is None or entry[0] is not plan:
-            if len(self._blobs) >= self._cache_entries:
+            if len(self._blobs) >= CACHE_ENTRIES:
                 # Wholesale eviction, like the process-backend cache: at
                 # steady state one streaming plan repeats; sweeps of many
                 # distinct plans gain nothing from LRU bookkeeping.
@@ -181,8 +159,7 @@ class StageBlobSender:
 class StageBlobReceiver:
     """Worker side: ``digest -> deserialized plan`` cache."""
 
-    def __init__(self, cache_entries: int = 64):
-        self._cache_entries = cache_entries
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._plans: Dict[str, Any] = {}
 
@@ -196,7 +173,7 @@ class StageBlobReceiver:
         caller answers ``stage_miss`` and the sender re-ships."""
         with self._lock:
             if launch.blobs and (
-                len(self._plans) + len(launch.blobs) > self._cache_entries
+                len(self._plans) + len(launch.blobs) > CACHE_ENTRIES
             ):
                 self._plans.clear()
             for digest, blob in launch.blobs.items():

@@ -70,18 +70,13 @@ from repro.common.metrics import (
     COUNT_NET_BYTES_SENT,
     COUNT_NET_FRAMES_SENT,
     COUNT_NET_LAUNCH_BYTES_SENT,
-    COUNT_NET_TEMPLATE_BYTES_SAVED,
     COUNT_RPC_MESSAGES,
-    COUNT_TEMPLATE_HIT,
-    COUNT_TEMPLATE_INVALIDATED,
-    COUNT_TEMPLATE_MISS,
     HIST_NET_CALL_LATENCY,
     HIST_NET_MESSAGES_PER_FRAME,
     MetricsRegistry,
 )
-from repro.core.templates import TemplateSender
 from repro.dag.serde import dumps_closure, loads_closure
-from repro.engine.rpc import INSTANTIATE_TEMPLATE, LAUNCH_TASKS, BaseTransport, Envelope
+from repro.engine.rpc import LAUNCH_TASKS, BaseTransport, Envelope
 from repro.net.framing import (
     KIND_POST,
     KIND_REQUEST,
@@ -94,13 +89,7 @@ from repro.net.framing import (
 )
 from repro.net.pool import Address, ConnectFailed, ConnectionPool
 from repro.net.server import MessageServer
-from repro.net.stageblobs import (
-    StageBlobReceiver,
-    StageBlobSender,
-    WireGroupLaunch,
-    WireLaunch,
-    WireTemplateInstantiate,
-)
+from repro.net.stageblobs import StageBlobReceiver, StageBlobSender, WireLaunch
 from repro.obs.trace import Recorder
 
 # Directory/ping methods handled by the transport itself; they never
@@ -124,11 +113,6 @@ _LOST = "lost"
 # digests to re-ship.  Like discovery, the retry is plumbing — the
 # renegotiated exchange still counts as one engine message.
 _STAGE_MISS = "stage_miss"
-# Receiver-side execution-template miss (evicted, never installed, or a
-# stale membership epoch): the sender falls back to a full
-# template-installing launch within the same counted exchange, mirroring
-# the stage_miss reship protocol.
-_TEMPLATE_MISS = "template_miss"
 
 # Attempts for one launch negotiation (first send + stage_miss reships).
 _MAX_LAUNCH_ATTEMPTS = 3
@@ -142,7 +126,6 @@ _MAX_LAUNCH_ATTEMPTS = 3
 _CHAOS_DROP_SAFE = frozenset(
     {
         "launch_tasks",
-        "instantiate_template",
         "fetch_bucket",
         "fetch_buckets",
         "notify_output",
@@ -328,21 +311,8 @@ class TcpTransport(BaseTransport):
         dp = self.conf.data_plane
         self._compression = dp.compression
         self._compress_threshold = dp.compress_threshold_bytes
-        if dp.stage_blob_cache_entries > 0:
-            self._stage_sender: Optional[StageBlobSender] = StageBlobSender(
-                self.metrics, dp.stage_blob_cache_entries
-            )
-            self._stage_receiver: Optional[StageBlobReceiver] = StageBlobReceiver(
-                dp.stage_blob_cache_entries
-            )
-        else:
-            self._stage_sender = None
-            self._stage_receiver = None
-        # Execution-template registry (repro.core.templates).  Always
-        # present: the feature activates only when a caller passes
-        # template metadata with a launch (the driver gates that on
-        # TemplateConf.enabled), and an idle sender is two empty dicts.
-        self._template_sender = TemplateSender()
+        self._stage_sender = StageBlobSender(self.metrics)
+        self._stage_receiver = StageBlobReceiver()
         self.server = MessageServer(
             self._handle_raw,
             self.metrics,
@@ -415,11 +385,7 @@ class TcpTransport(BaseTransport):
             outbox.close()  # nothing more will be posted there: stop its sender
         if prior is not None:
             self.pool.invalidate(prior)
-        if self._stage_sender is not None:
-            self._stage_sender.forget_peer(endpoint_id)
-        dropped = self._template_sender.forget_peer(endpoint_id)
-        if dropped:
-            self.metrics.counter(COUNT_TEMPLATE_INVALIDATED).add(dropped)
+        self._stage_sender.forget_peer(endpoint_id)
 
     def is_alive(self, endpoint_id: str) -> bool:
         with self._lock:
@@ -662,15 +628,13 @@ class TcpTransport(BaseTransport):
         renegotiation (stage-blob reships) that stays off the counters."""
         if (
             envelope.method == LAUNCH_TASKS
-            and self._stage_sender is not None
-            and 1 <= len(args) <= 2
+            and len(args) == 1
             and (not kwargs or set(kwargs) == {"driver_epoch"})
         ):
             # The HA fencing stamp (driver_epoch) is the one kwarg the
             # tokenized launch path carries through; anything else falls
             # back to the plain exchange below.
-            template_meta = args[1] if len(args) == 2 else None
-            return self._launch_exchange(addr, envelope, args[0], template_meta, kwargs)
+            return self._launch_exchange(addr, envelope, args[0], kwargs)
         return self._internal_call(addr, envelope, args, kwargs)
 
     def _launch_exchange(
@@ -678,65 +642,21 @@ class TcpTransport(BaseTransport):
         addr: Address,
         envelope: Envelope,
         descriptors: Any,
-        template_meta: Optional[Tuple[str, Tuple[int, ...], int]] = None,
         kwargs: Optional[Dict[str, Any]] = None,
     ) -> Tuple[str, Any]:
         """Send a launch with plans tokenized; re-ship blobs on
-        ``stage_miss`` until the receiver can decode (bounded).
-
-        With ``template_meta = (template_id, batch_ids, epoch)`` this is
-        the template tier: when the peer is known to hold the template,
-        the whole launch crosses the wire as one tiny
-        :class:`WireTemplateInstantiate`; a ``template_miss`` reply falls
-        back to the full (template-installing) launch — an uncounted
-        internal retry, exactly like a stage_miss reship, so
-        ``count.rpc_messages`` parity stays ±0 either way."""
+        ``stage_miss`` until the receiver can decode (bounded).  The
+        reships are uncounted internal retries, so ``count.rpc_messages``
+        sees one message per launch."""
         dst = envelope.dst
         launch_bytes = self.metrics.counter(COUNT_NET_LAUNCH_BYTES_SENT)
-        if template_meta is not None:
-            template_id, batch_ids, epoch = template_meta
-            if self._template_sender.holds(dst, template_id, epoch):
-                instantiate = WireTemplateInstantiate(
-                    template_id, list(batch_ids), epoch
-                )
-                inst_start = self._clock.now()
-                status, value, sent = self._internal_call_ex(
-                    addr,
-                    Envelope(dst, INSTANTIATE_TEMPLATE, envelope.trace_ctx),
-                    (instantiate,),
-                    kwargs,
-                )
-                launch_bytes.add(sent)
-                if status == _TEMPLATE_MISS:
-                    # The peer evicted it (restart, cap, stale epoch):
-                    # degrade to the full launch below, uncounted.
-                    self._template_sender.forget(dst, template_id)
-                else:
-                    if status == _OK:
-                        # The explicit lower tier: one small counted RPC
-                        # replaced the whole per-task payload.
-                        self.metrics.counter(COUNT_TEMPLATE_HIT).add(1)
-                        self.metrics.histogram(
-                            f"{HIST_NET_CALL_LATENCY}.{INSTANTIATE_TEMPLATE}"
-                        ).record(self._clock.now() - inst_start)
-                        full = self._template_sender.full_size(dst, template_id)
-                        if full > sent:
-                            self.metrics.counter(
-                                COUNT_NET_TEMPLATE_BYTES_SAVED
-                            ).add(full - sent)
-                    return status, value
         force: frozenset = frozenset()
         for _attempt in range(_MAX_LAUNCH_ATTEMPTS):
             launch, digests = self._stage_sender.encode(
                 dst, descriptors, force=force
             )
-            payload: Any = launch
-            if template_meta is not None:
-                payload = WireGroupLaunch(
-                    launch, template_meta[0], list(template_meta[1]), template_meta[2]
-                )
             status, value, sent = self._internal_call_ex(
-                addr, envelope, (payload,), kwargs
+                addr, envelope, (launch,), kwargs
             )
             launch_bytes.add(sent)
             if status == _STAGE_MISS:
@@ -744,25 +664,11 @@ class TcpTransport(BaseTransport):
                 continue
             if status == _OK:
                 self._stage_sender.mark_shipped(dst, digests)
-                if template_meta is not None:
-                    self.metrics.counter(COUNT_TEMPLATE_MISS).add(1)
-                    self._template_sender.mark_shipped(
-                        dst, template_meta[0], template_meta[2], sent
-                    )
             return status, value
         return (
             _LOST,
             f"stage-blob negotiation with {dst} did not converge",
         )
-
-    def invalidate_templates(self) -> int:
-        """Cluster membership changed: every shipped template baked the
-        old placement into its downstream pointers — drop them all, so
-        the next launch of each shape re-installs under the new epoch."""
-        dropped = self._template_sender.invalidate_all()
-        if dropped:
-            self.metrics.counter(COUNT_TEMPLATE_INVALIDATED).add(dropped)
-        return dropped
 
     def _forget_addr(self, dst_id: str) -> None:
         """Drop a (possibly stale) cached address and its pooled sockets."""
@@ -835,8 +741,7 @@ class TcpTransport(BaseTransport):
     ) -> Tuple[str, Any, int]:
         """Like :meth:`_internal_call` but also returns the framed request
         size actually written to the socket — the launch path uses it to
-        attribute wire cost per exchange (``net.launch_bytes_sent``) and
-        to price template hits against the full launches they replace."""
+        attribute wire cost per exchange (``net.launch_bytes_sent``)."""
         payload = dumps_closure(
             (envelope, args, kwargs or {}),
             context=f"rpc {envelope.method!r} payload",
@@ -939,14 +844,9 @@ class TcpTransport(BaseTransport):
                 self._addr_cache.pop(endpoint_id, None)
             if prior is not None and prior != (host, port):
                 # Re-registration at a new address: stale pooled sockets
-                # must not serve it, and its blob and template caches are
-                # gone with it.
+                # must not serve it, and its blob cache is gone with it.
                 self.pool.invalidate(prior)
-                if self._stage_sender is not None:
-                    self._stage_sender.forget_peer(endpoint_id)
-                dropped = self._template_sender.forget_peer(endpoint_id)
-                if dropped:
-                    self.metrics.counter(COUNT_TEMPLATE_INVALIDATED).add(dropped)
+                self._stage_sender.forget_peer(endpoint_id)
             return (_OK, None)
         if method == RESOLVE:
             (endpoint_id,) = args
@@ -986,48 +886,11 @@ class TcpTransport(BaseTransport):
             if envelope.dst in self._dead:
                 return (_LOST, f"endpoint is down: {envelope.dst}")
             target = self._local[envelope.dst]
-        if (
-            method == LAUNCH_TASKS
-            and args
-            and isinstance(args[0], (WireLaunch, WireGroupLaunch))
-        ):
-            wire_launch = args[0]
-            template_arg: Tuple = ()
-            if isinstance(wire_launch, WireGroupLaunch):
-                template_arg = (
-                    (
-                        wire_launch.template_id,
-                        list(wire_launch.batch_ids),
-                        wire_launch.epoch,
-                    ),
-                )
-                wire_launch = wire_launch.launch
-            receiver = self._stage_receiver
-            if receiver is None:
-                # Caching disabled locally but the sender tokenized anyway
-                # (mixed configuration): decode without retaining.
-                receiver = StageBlobReceiver(cache_entries=len(wire_launch.blobs) or 1)
-            descriptors, missing = receiver.decode(wire_launch)
+        if method == LAUNCH_TASKS and args and isinstance(args[0], WireLaunch):
+            descriptors, missing = self._stage_receiver.decode(args[0])
             if missing:
                 return (_STAGE_MISS, missing)
-            args = (descriptors,) + template_arg + args[1:]
-        if method == INSTANTIATE_TEMPLATE and args:
-            instantiate = args[0]
-            handler = getattr(target, "instantiate_template", None)
-            try:
-                accepted = handler is not None and handler(
-                    instantiate.template_id,
-                    list(instantiate.batch_ids),
-                    instantiate.epoch,
-                    **kwargs,
-                )
-            except BaseException as err:  # noqa: BLE001 - surfaced caller-side
-                return (_ERR, err)
-            if not accepted:
-                # Evicted, never installed, or a stale membership epoch:
-                # the sender re-ships the full launch, uncounted.
-                return (_TEMPLATE_MISS, instantiate.template_id)
-            return (_OK, None)
+            args = (descriptors,) + args[1:]
         try:
             if self.tracer.enabled and envelope.trace_ctx is not None:
                 with self.tracer.activate(envelope.trace_ctx):

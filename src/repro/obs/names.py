@@ -44,7 +44,6 @@ from repro.common.metrics import (
     COUNT_NET_LAUNCH_BYTES_SENT,
     COUNT_NET_RECONNECTS,
     COUNT_NET_REDIALS,
-    COUNT_NET_TEMPLATE_BYTES_SAVED,
     COUNT_RECOVERIES,
     COUNT_RPC_MESSAGES,
     COUNT_SLO_VIOLATIONS,
@@ -53,9 +52,6 @@ from repro.common.metrics import (
     COUNT_STAGE_CACHE_MISS,
     COUNT_TASKS_LAUNCHED,
     COUNT_TELEMETRY_DELTAS,
-    COUNT_TEMPLATE_HIT,
-    COUNT_TEMPLATE_INVALIDATED,
-    COUNT_TEMPLATE_MISS,
     COUNT_TELEMETRY_RECORDS,
     COUNT_TELEMETRY_TASKS,
     GAUGE_HA_WAL_LAG,
@@ -171,10 +167,6 @@ METRIC_NAMES = frozenset(
         COUNT_NET_BYTES_SAVED_COMPRESSION,
         COUNT_STAGE_CACHE_HIT,
         COUNT_STAGE_CACHE_MISS,
-        COUNT_TEMPLATE_HIT,
-        COUNT_TEMPLATE_MISS,
-        COUNT_TEMPLATE_INVALIDATED,
-        COUNT_NET_TEMPLATE_BYTES_SAVED,
         COUNT_NET_LAUNCH_BYTES_SENT,
         COUNT_CHAOS_INJECTED,
         COUNT_CHAOS_SUPPRESSED,

@@ -1,13 +1,12 @@
 """Micro-batch streaming on the BSP engine (the Spark Streaming analogue)."""
 
-from repro.streaming.context import BatchStats, StreamingContext
-from repro.streaming.dstream import DStream, SourceDStream
-from repro.streaming.elasticity import (
-    ElasticityController,
+from repro.elastic.policies import (
     ScalingDecision,
     ScalingPolicy,
     UtilizationScalingPolicy,
 )
+from repro.streaming.context import BatchStats, StreamingContext
+from repro.streaming.dstream import DStream, SourceDStream
 from repro.streaming.reoptimizer import (
     ReducerCountOptimizer,
     adaptive_reduce_by_key,
@@ -29,7 +28,6 @@ from repro.streaming.windows import WindowEmitter, window_end, window_for
 __all__ = [
     "BatchStats",
     "StreamingContext",
-    "ElasticityController",
     "ScalingDecision",
     "ScalingPolicy",
     "UtilizationScalingPolicy",

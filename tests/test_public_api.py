@@ -128,13 +128,11 @@ def test_public_classes_in_core_are_pure():
 
     import repro.core.groups
     import repro.core.prescheduling
-    import repro.core.templates
     import repro.core.tuner
 
     for module in (
         repro.core.groups,
         repro.core.prescheduling,
-        repro.core.templates,
         repro.core.tuner,
     ):
         tree = ast.parse(inspect.getsource(module))

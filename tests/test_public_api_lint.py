@@ -22,14 +22,14 @@ def test_top_level_all_resolves():
 
 
 def test_canonical_names_are_the_deep_objects():
-    from repro.common.config import EngineConf, TemplateConf
+    from repro.common.config import DataPlaneConf, EngineConf
     from repro.engine.cluster import LocalCluster
     from repro.streaming.context import StreamingContext
 
     assert repro.LocalCluster is LocalCluster
     assert repro.StreamingContext is StreamingContext
     assert repro.EngineConf is EngineConf
-    assert repro.TemplateConf is TemplateConf
+    assert repro.DataPlaneConf is DataPlaneConf
 
 
 def test_removed_spellings_fail_loudly():
@@ -55,7 +55,7 @@ def test_docstring_documents_the_migration():
         "repro.engine.cluster.LocalCluster",
         "repro.common.config.EngineConf",
         "repro.streaming.context.StreamingContext",
-        "repro.common.config.TemplateConf",
+        "repro.common.config.DataPlaneConf",
     ):
         assert old_path in doc, f"migration table must mention {old_path}"
 
@@ -65,13 +65,24 @@ def test_data_plane_conf_has_exactly_the_documented_knobs():
         "max_concurrent_fetches",
         "compression",
         "compress_threshold_bytes",
-        "stage_blob_cache_entries",
     }
     # Outside input naming a removed knob is rejected, not ignored.  (The
     # name is split so a repo-wide grep for it stays empty.)
     removed_knob = "record" "_blocks"
     with pytest.raises(ConfigError, match="max_concurrent_fetches"):
         EngineConf.from_dict({"transport": {"data_plane": {removed_knob: True}}})
+    removed_knob = "stage_blob" "_cache_entries"
+    with pytest.raises(ConfigError, match="max_concurrent_fetches"):
+        EngineConf.from_dict({"transport": {"data_plane": {removed_knob: 64}}})
+
+
+def test_engine_conf_has_no_templates_section():
+    # Execution templates were removed: a configuration that still names
+    # them is rejected with the valid keys listed, not silently ignored.
+    with pytest.raises(ConfigError, match="valid keys") as err:
+        EngineConf.from_dict({"templates": {"enabled": True}})
+    assert "transport" in str(err.value) and "elastic" in str(err.value)
+    assert "templates" not in {f.name for f in fields(EngineConf)}
 
 
 def test_removed_data_plane_names_appear_nowhere():
@@ -82,6 +93,12 @@ def test_removed_data_plane_names_appear_nowhere():
         "RecordBlock",
         "SegmentRegistry",
         "AsyncMessageServer",
+        # Execution templates and the stage-blob cache-size knob.
+        "Template" "Conf",
+        "REPRO_" "TEMPLATES",
+        "instantiate" "_template",
+        "template" "_epoch",
+        "stage_blob" "_cache_entries",
     )
     files = [REPO_ROOT / "README.md"]
     for top in ("src", "docs", ".github"):

@@ -4,14 +4,12 @@ re-optimization (§3.5), and elastic scaling policies (§3.3)."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.config import EngineConf, SchedulingMode
+from repro.common.config import ElasticConf, EngineConf, SchedulingMode
 from repro.common.errors import StreamingError
+from repro.elastic import ElasticController
+from repro.elastic.policies import ScalingDecision, UtilizationScalingPolicy
 from repro.engine.cluster import LocalCluster
 from repro.streaming.context import BatchStats, StreamingContext
-from repro.streaming.elasticity import (
-    ElasticityController,
-    UtilizationScalingPolicy,
-)
 from repro.streaming.reoptimizer import (
     ReducerCountOptimizer,
     adaptive_reduce_by_key,
@@ -237,12 +235,13 @@ class TestElasticityOnEngine:
             # A policy that always wants one more machine.
             class AlwaysUp(UtilizationScalingPolicy):
                 def decide(self, recent, current_workers):
-                    from repro.streaming.elasticity import ScalingDecision
-
                     return ScalingDecision(+1, "test")
 
-            controller = ElasticityController(
-                cluster, AlwaysUp(batch_interval_s=0.05)
+            # No cooldown: one resize at every boundary.
+            controller = ElasticController(
+                cluster,
+                AlwaysUp(batch_interval_s=0.05),
+                conf=ElasticConf(cooldown_groups=0),
             )
             ctx.set_elasticity(controller)
             ctx.stream().foreach_batch(lambda b, r: None)
@@ -259,7 +258,7 @@ class TestElasticityOnEngine:
             policy = UtilizationScalingPolicy(
                 batch_interval_s=10.0, min_workers=1  # everything looks idle
             )
-            controller = ElasticityController(cluster, policy)
+            controller = ElasticController(cluster, policy, conf=ElasticConf())
             ctx.set_elasticity(controller)
             seen = []
             ctx.stream().foreach_batch(lambda b, r: seen.append(len(r)))
