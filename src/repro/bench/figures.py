@@ -650,9 +650,9 @@ def telemetry_overhead(
 ) -> Tuple[List[Dict], Dict]:
     """Cost of the live telemetry plane on the transport bench: the same
     tcp workload as :func:`transport_coordination`, with
-    ``TelemetryConf`` disabled vs enabled (heartbeats off, so telemetry
-    rides the dedicated ``__metrics__`` path — its worst case: every
-    delta is an extra wire exchange rather than a heartbeat payload).
+    ``TelemetryConf`` disabled vs enabled.  Telemetry always rides the
+    dedicated ``__metrics__`` path, so every delta is an extra wire
+    exchange of its own.
 
     Returns ``(rows, snapshot)`` where ``snapshot`` is the enabled run's
     cluster-telemetry rollup + signals, embedded into ``bench --json``

@@ -185,15 +185,11 @@ class DataPlaneConf:
     """Wire-level data-plane knobs (see "Data plane" in
     ``docs/networking.md``).
 
-    These govern the fast path for bulk payloads on the tcp transport:
-    batched shuffle fetches and per-frame payload compression.  (The
-    launch path's stage-blob cache has a fixed size; see
+    These govern per-frame payload compression on the tcp transport.
+    (The launch path's stage-blob cache has a fixed size; see
     ``repro.net.stageblobs``.)
     """
 
-    # Concurrent per-peer fetch_buckets RPCs a reduce task may have in
-    # flight (1 = sequential, the pre-fast-path behavior).
-    max_concurrent_fetches: int = 8
     # "off" never compresses; "auto" compresses payloads at or above
     # compress_threshold_bytes (and keeps the result only if smaller);
     # "on" tries every payload — CI uses it to exercise the compressed
@@ -202,8 +198,6 @@ class DataPlaneConf:
     compress_threshold_bytes: int = 4096
 
     def validate(self) -> None:
-        if self.max_concurrent_fetches < 1:
-            raise ConfigError("max_concurrent_fetches must be >= 1")
         if self.compression not in COMPRESSION_MODES:
             raise ConfigError(
                 f"compression must be one of {COMPRESSION_MODES}, "
@@ -237,7 +231,7 @@ class TransportConf:
     # End-to-end budget for one request/response round trip; a peer that
     # accepts but never answers surfaces as WorkerLost, not a hang.
     call_timeout_s: float = 30.0
-    # Bulk-payload fast path: fetch batching, frame compression.
+    # Bulk-payload fast path: frame compression.
     data_plane: DataPlaneConf = field(default_factory=DataPlaneConf)
 
     def validate(self) -> None:
@@ -275,17 +269,16 @@ class TelemetryConf:
     """Cluster-wide live telemetry plane (:mod:`repro.obs.live`).
 
     When enabled, every worker keeps a private metrics registry and
-    periodically ships *delta* snapshots of it to the driver — riding the
-    heartbeat when ``MonitorConf.enable_heartbeats`` is on, or over the
-    dedicated (uncounted) ``__metrics__`` plumbing path when it is off.
+    periodically ships *delta* snapshots of it to the driver over the
+    dedicated (uncounted) ``__metrics__`` plumbing path.
     The driver aggregates the deltas into a :class:`ClusterTelemetry`
     time-series store whose ``signals()`` feed the §3.4 tuner, the
     ``obs top`` / ``obs serve`` surfaces, and the SLO watchdog.
     """
 
     enabled: bool = field(default_factory=_default_telemetry_enabled)
-    # Shipping cadence for the dedicated loop (heartbeats-off path); with
-    # heartbeats on, deltas ride the heartbeat_interval_s cadence instead.
+    # Shipping cadence of each worker's telemetry loop; a worker silent
+    # for max(4 * interval_s, 0.2) seconds reads stale.
     interval_s: float = 0.05
     # Ring-buffer entries retained per (worker, metric) on the driver.
     retention: int = 512

@@ -64,22 +64,16 @@ class LocalCluster:
             self.transport, self.conf, self.metrics, self.clock, tracer=self.tracer
         )
         # Live telemetry store (repro.obs.live): armed before workers so
-        # the first shipped delta already has somewhere to land.  With
-        # heartbeats off, arrivals come from the workers' telemetry loops;
-        # staleness then tracks that cadence instead of the hb timeout.
+        # the first shipped delta already has somewhere to land.  Arrivals
+        # come from the workers' telemetry loops, so staleness tracks
+        # their cadence (the store's default bound).
         self.telemetry: Optional[ClusterTelemetry] = None
         if self.conf.telemetry.enabled:
-            stale_after = (
-                self.conf.monitor.heartbeat_timeout_s
-                if self.conf.monitor.enable_heartbeats
-                else max(4 * self.conf.telemetry.interval_s, 0.2)
-            )
             self.telemetry = ClusterTelemetry(
                 self.conf.telemetry,
                 clock=self.clock,
                 driver_metrics=self.metrics,
                 tracer=self.tracer,
-                stale_after_s=stale_after,
             )
             self.driver.telemetry = self.telemetry
         # Control-plane WAL (repro.ha): opened before any worker joins so

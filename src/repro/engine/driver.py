@@ -25,7 +25,6 @@ dependencies when a pre-scheduled task is moved to a new machine.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -54,7 +53,7 @@ from repro.common.metrics import (
 from repro.core.groups import CoordinationLedger, PlacementPolicy, StageTemplate
 from repro.core.prescheduling import DepKey
 from repro.core.tuner import GroupSizeTuner
-from repro.dag.plan import PhysicalPlan, StageSpec
+from repro.dag.plan import PhysicalPlan, ShuffleSpec, StageSpec
 from repro.engine.rpc import BaseTransport
 from repro.engine.task import TaskDescriptor, TaskId, TaskReport
 from repro.obs.names import (
@@ -150,16 +149,12 @@ class Driver:
         self._last_heartbeat: Dict[str, float] = {}
         self._monitor: Optional[threading.Thread] = None
         self._stop_monitor = threading.Event()
-        # Lazily-created pool for concurrent per-worker launch RPCs —
-        # persistent because creating (and joining) a ThreadPoolExecutor
-        # per group launch costs more than the launches themselves.
-        self._launch_pool: Optional[ThreadPoolExecutor] = None
         self.tuner: Optional[GroupSizeTuner] = (
             GroupSizeTuner(conf.tuner, conf.group_size) if conf.tuner.enabled else None
         )
         self.last_group_ledger: Optional[CoordinationLedger] = None
         # Live telemetry store (repro.obs.live), wired by LocalCluster
-        # when TelemetryConf.enabled; heartbeat deltas land here.
+        # when TelemetryConf.enabled; worker deltas land here.
         self.telemetry = None
         # Driver fault tolerance (repro.ha), wired by LocalCluster when
         # HaConf.enabled: the control-plane journal, and this driver
@@ -234,9 +229,6 @@ class Driver:
 
     def stop_monitor(self) -> None:
         self._stop_monitor.set()
-        if self._launch_pool is not None:
-            self._launch_pool.shutdown(wait=False)
-            self._launch_pool = None
 
     def start_speculation(self) -> None:
         """Launch the straggler-mitigation monitor (SpeculationConf)."""
@@ -300,18 +292,16 @@ class Driver:
             launched += 1
         return launched
 
-    def heartbeat(self, worker_id: str, _ts: float, telemetry=None) -> None:
-        """Liveness ping from a worker; ``telemetry`` optionally carries a
-        piggybacked metrics delta (same message, bigger payload)."""
+    def heartbeat(self, worker_id: str, _ts: float) -> None:
+        """Liveness ping from a worker."""
         with self._lock:
             if worker_id in self._alive:
                 self._last_heartbeat[worker_id] = self.clock.now()
-        if self.telemetry is not None:
-            self.telemetry.ingest(worker_id, telemetry)
 
     def ingest_telemetry(self, worker_id: str, delta) -> bool:
-        """Target of the uncounted ``__metrics__`` shipping path (used
-        when heartbeats are off).  Returns False when no store is armed."""
+        """Target of the uncounted ``__metrics__`` shipping path, the one
+        route worker telemetry takes.  Returns False when no store is
+        armed."""
         if self.telemetry is None:
             return False
         self.telemetry.ingest(worker_id, delta)
@@ -346,18 +336,39 @@ class Driver:
         if not self.transport.is_alive(target):
             self.on_worker_lost(target, reason=f"unreachable from {src}")
             return
-        for _ in range(3):
-            if self.transport.try_call(
-                target,
-                "pre_populate",
-                job_id,
-                [((shuffle_id, map_index), src)],
-                **self._epoch_kwargs(),
-            ):
-                return
-        self.on_worker_lost(
-            target, reason="redelivery of a map-output notification failed"
+        dep = (shuffle_id, map_index)
+        with self._lock:
+            job = self.jobs.get(job_id)
+            epoch = job.map_epochs.get(dep, 0) if job is not None else 0
+        if not self._seed_dependencies(target, job_id, [(dep, src, epoch)]):
+            self.on_worker_lost(
+                target, reason="redelivery of a map-output notification failed"
+            )
+
+    def _seed_dependencies(
+        self, worker_id: str, job_id: int, completed: List[Tuple[DepKey, str, int]]
+    ) -> bool:
+        """Send ``pre_populate`` with ``(dep, holder, epoch)`` entries,
+        making up to 3 attempts; returns whether one was delivered.  The
+        caller decides what a failure means."""
+        return any(
+            self.transport.try_call(
+                worker_id, "pre_populate", job_id, completed, **self._epoch_kwargs()
+            )
+            for _ in range(3)
         )
+
+    @staticmethod
+    def _completed_deps(
+        job: JobState, deps: Optional[frozenset] = None
+    ) -> List[Tuple[DepKey, str, int]]:
+        """``pre_populate`` entries for the job's finished map outputs
+        (only those in ``deps`` when given)."""
+        return [
+            (dep, holder, job.map_epochs.get(dep, 0))
+            for dep, holder in job.map_status.items()
+            if deps is None or dep in deps
+        ]
 
     # ------------------------------------------------------------------
     # Public job API
@@ -649,50 +660,55 @@ class Driver:
         keys = list(job_keys) if job_keys is not None else [None] * len(plans)
         sched_start = self.clock.now()
         per_worker: Dict[str, List[TaskDescriptor]] = {}
-        prepopulate: Dict[int, List[Tuple[DepKey, str]]] = {}
-        job_ids: List[int] = []
-        job_assignments: Dict[int, Any] = {}
+        prepopulate: Dict[int, List[Tuple[DepKey, str, int]]] = {}
+        jobs: List[JobState] = []
 
         with self._lock:
             workers = self.placement_workers()
             if not workers:
                 raise ReproError("no live workers available")
             policy = PlacementPolicy(workers, self.conf.slots_per_worker)
-            jobs: List[JobState] = []
-            for plan, key in zip(plans, keys):
-                job = self._register_job(plan, key, pre_scheduled=True, reuse=reuse)
-                jobs.append(job)
-                job_ids.append(job.job_id)
             # One assignment per DAG *shape* per group: jobs sharing the
             # (static) streaming DAG reuse the same scheduling decision
             # (§3.1); a context with several output operators contributes
             # one extra assignment per distinct shape.
             assignments: Dict[Tuple, Any] = {}
-            for job in jobs:
+            for plan, key in zip(plans, keys):
+                job = self._register_job(plan, key, pre_scheduled=True, reuse=reuse)
+                jobs.append(job)
                 shape = tuple(
                     (
                         s.num_tasks,
                         s.output_shuffle.shuffle_id if s.output_shuffle else None,
                         tuple(spec.shuffle_id for spec in s.input_shuffles),
                     )
-                    for s in job.plan.stages
+                    for s in plan.stages
                 )
                 if shape not in assignments:
-                    assignments[shape] = policy.assign(
-                        self._stage_templates(job.plan)
-                    )
-                job_assignments[job.job_id] = assignments[shape]
-            for job in jobs:
-                completed = [
-                    (dep, loc, job.map_epochs.get(dep, 0))
-                    for dep, loc in job.map_status.items()
-                ]
+                    assignments[shape] = policy.assign(self._stage_templates(plan))
+                completed = self._completed_deps(job)
                 if completed:
                     prepopulate[job.job_id] = completed
-                for desc, worker_id in self._build_prescheduled_tasks(
-                    job, job_assignments[job.job_id]
-                ):
-                    per_worker.setdefault(worker_id, []).append(desc)
+                # Place every remaining task first: a map's descriptor
+                # points at its consumers' locations.
+                remaining = [
+                    (stage, partition)
+                    for stage in plan.stages
+                    for partition in sorted(job.stage_remaining[stage.stage_index])
+                ]
+                now = self.clock.now()
+                for stage, partition in remaining:
+                    slots = assignments[shape].by_stage[stage.stage_index]
+                    job.task_locations[(stage.stage_index, partition)] = slots[
+                        partition
+                    ].worker_id
+                    job.task_started[(stage.stage_index, partition)] = now
+                for stage, partition in remaining:
+                    worker_id = job.task_locations[(stage.stage_index, partition)]
+                    per_worker.setdefault(worker_id, []).append(
+                        self._make_descriptor(job, stage, partition)
+                    )
+        job_ids = [job.job_id for job in jobs]
         sched_end = self.clock.now()
         self.metrics.counter(TIME_SCHEDULING).add(sched_end - sched_start)
         self.metrics.counter(COUNT_GROUPS_SCHEDULED).add(1)
@@ -710,34 +726,37 @@ class Driver:
                 tasks=sum(len(d) for d in per_worker.values()),
             )
 
+        # One launch per worker, one worker at a time, in worker order:
+        # with the synchronous inline executor the launch *runs* the
+        # tasks, and that determinism is part of the inproc contract.
         xfer_start = self.clock.now()
+        ek = self._epoch_kwargs()
+        lost: Dict[str, str] = {}
         for worker_id in sorted(per_worker):
             self.metrics.counter(COUNT_TASKS_LAUNCHED).add(len(per_worker[worker_id]))
             self.metrics.counter(COUNT_LAUNCH_RPCS).add(1)
-        lost = self._launch_group(per_worker)
-        if lost:
-            # Error fidelity: each loss report carries the full split of
-            # the parallel launch, not just the one failed id.
-            survived = sorted(set(per_worker) - set(lost))
-            for worker_id, why in sorted(lost.items()):
-                self.on_worker_lost(
-                    worker_id,
-                    reason=(
-                        f"lost during group launch ({why}); "
-                        f"failed={sorted(lost)} survived={survived}"
-                    ),
+            try:
+                self.transport.call(
+                    worker_id, "launch_tasks", per_worker[worker_id], **ek
                 )
-        ek = self._epoch_kwargs()
+            except WorkerLost as err:
+                lost[worker_id] = err.reason
+        # Error fidelity: each loss report carries the full split of the
+        # group launch, not just the one failed id.
+        survived = sorted(set(per_worker) - set(lost))
+        for worker_id, why in sorted(lost.items()):
+            self.on_worker_lost(
+                worker_id,
+                reason=(
+                    f"lost during group launch ({why}); "
+                    f"failed={sorted(lost)} survived={survived}"
+                ),
+            )
         for job_id, completed in prepopulate.items():
             for worker_id in self.alive_workers():
-                if not self.transport.try_call(
-                    worker_id, "pre_populate", job_id, completed, **ek
-                ):
-                    # One retry: losing this message silently parks the
-                    # worker's reduce tasks until the stage deadline.
-                    self.transport.try_call(
-                        worker_id, "pre_populate", job_id, completed, **ek
-                    )
+                # Best effort: a worker that misses it parks its reduce
+                # tasks until the stage deadline.
+                self._seed_dependencies(worker_id, job_id, completed)
         xfer_end = self.clock.now()
         self.metrics.counter(TIME_TASK_TRANSFER).add(xfer_end - xfer_start)
         if self.tracer.enabled:
@@ -757,93 +776,40 @@ class Driver:
                 self._check_job_done(job)
         return job_ids
 
-    def _launch_group(
-        self,
-        per_worker: Dict[str, List[TaskDescriptor]],
-    ) -> Dict[str, str]:
-        """Send one ``launch_tasks`` per worker; returns the workers that
-        were lost mid-launch, mapped to the loss reason.
-
-        Over tcp the per-worker launches are independent wire round trips,
-        so they go out concurrently (bounded like the fetch path by
-        ``DataPlaneConf.max_concurrent_fetches``).  In-process they stay
-        sequential: with a synchronous inline executor the launch *runs*
-        the tasks, and that determinism is part of the inproc contract.
-        Message counts are identical either way."""
-        workers = sorted(per_worker)
-        lost: Dict[str, str] = {}
-        ek = self._epoch_kwargs()
-
-        def launch(worker_id: str) -> Optional[Tuple[str, str]]:
-            try:
-                self.transport.call(
-                    worker_id, "launch_tasks", per_worker[worker_id], **ek
-                )
-                return None
-            except WorkerLost as err:
-                return (worker_id, err.reason)
-
-        max_conc = self.conf.transport.data_plane.max_concurrent_fetches
-        if (
-            self.conf.transport.backend != "tcp"
-            or len(workers) <= 1
-            or max_conc <= 1
-        ):
-            for worker_id in workers:
-                failure = launch(worker_id)
-                if failure is not None:
-                    lost[failure[0]] = failure[1]
-            return lost
-        pool = self._launch_pool
-        if pool is None:
-            pool = self._launch_pool = ThreadPoolExecutor(
-                max_workers=max_conc, thread_name_prefix="driver-launch"
-            )
-        try:
-            results = list(pool.map(launch, workers))
-        except RuntimeError:  # pool shut down mid-teardown: go sequential
-            results = [launch(worker_id) for worker_id in workers]
-        for failure in results:
-            if failure is not None:
-                lost[failure[0]] = failure[1]
-        return lost
-
-    def _build_prescheduled_tasks(self, job: JobState, assignment) -> List[
-        Tuple[TaskDescriptor, str]
-    ]:
-        """Descriptors for every not-yet-complete task of one job."""
-        out: List[Tuple[TaskDescriptor, str]] = []
-        for stage in job.plan.stages:
-            slots = assignment.by_stage[stage.stage_index]
-            for partition in sorted(job.stage_remaining[stage.stage_index]):
-                worker_id = slots[partition].worker_id
-                desc = self._make_descriptor(job, stage, partition, assignment)
-                job.task_locations[(stage.stage_index, partition)] = worker_id
-                job.task_started[(stage.stage_index, partition)] = self.clock.now()
-                out.append((desc, worker_id))
-        return out
+    @staticmethod
+    def _reducers_of(spec: ShuffleSpec, map_index: int) -> Sequence[int]:
+        """The reducers that consume map ``map_index``: its one parent in
+        a tree shuffle (§3.6), every reducer in an all-to-all one."""
+        if spec.structure == "tree":
+            return [map_index // spec.fan_in]
+        return range(spec.num_reducers)
 
     def _make_descriptor(
-        self, job: JobState, stage: StageSpec, partition: int, assignment
+        self, job: JobState, stage: StageSpec, partition: int
     ) -> TaskDescriptor:
-        attempt = job.attempts.get((stage.stage_index, partition), 0)
-        deps = stage.task_dependencies(partition)
+        """A pre-scheduled task's descriptor.  Its ``downstream`` points at
+        the consumers' current locations in ``job.task_locations``, live
+        workers only — at group launch the fresh placement, after a
+        failure the re-placed tasks ("the scheduler also updates the
+        active upstream tasks to send outputs ... to the new machines")."""
         downstream: Dict[int, str] = {}
-        if stage.output_shuffle is not None:
-            spec = stage.output_shuffle
-            consumer = job.consumers.get(spec.shuffle_id)
-            if consumer is not None:
-                consumer_slots = assignment.by_stage[consumer]
-                if spec.structure == "tree":
-                    relevant = [partition // spec.fan_in]
-                else:
-                    relevant = list(range(spec.num_reducers))
-                downstream = {r: consumer_slots[r].worker_id for r in relevant}
+        spec = stage.output_shuffle
+        consumer = job.consumers.get(spec.shuffle_id) if spec is not None else None
+        if consumer is not None:
+            for r in self._reducers_of(spec, partition):
+                where = job.task_locations.get((consumer, r))
+                if where in self._alive:
+                    downstream[r] = where
         return TaskDescriptor(
-            task_id=TaskId(job.job_id, stage.stage_index, partition, attempt),
+            task_id=TaskId(
+                job.job_id,
+                stage.stage_index,
+                partition,
+                job.attempts.get((stage.stage_index, partition), 0),
+            ),
             plan=job.plan,
             pre_scheduled=True,
-            deps=deps,
+            deps=stage.task_dependencies(partition),
             downstream=downstream,
             trace_ctx=self._stage_ctx(job, stage.stage_index),
         )
@@ -1011,29 +977,15 @@ class Driver:
         consumer = job.consumers.get(spec.shuffle_id)
         if consumer is None:
             return
-        if spec.structure == "tree":
-            relevant = [map_index // spec.fan_in]
-        else:
-            relevant = range(spec.num_reducers)
+        dep = (spec.shuffle_id, map_index)
+        completed = [(dep, holder, job.map_epochs.get(dep, 0))]
         remaining = job.stage_remaining.get(consumer, set())
-        for r in relevant:
+        for r in self._reducers_of(spec, map_index):
             if (consumer, r) not in job.relocated or r not in remaining:
                 continue
             where = job.task_locations.get((consumer, r))
-            if where is not None and where in self._alive:
-                self.transport.try_call(
-                    where,
-                    "pre_populate",
-                    job.job_id,
-                    [
-                        (
-                            (spec.shuffle_id, map_index),
-                            holder,
-                            job.map_epochs.get((spec.shuffle_id, map_index), 0),
-                        )
-                    ],
-                    **self._epoch_kwargs(),
-                )
+            if where in self._alive:
+                self._seed_dependencies(where, job.job_id, completed)
 
     def _unblock_barrier_tasks(self, job: JobState) -> None:
         for stage_index, partition in sorted(job.blocked):
@@ -1047,17 +999,18 @@ class Driver:
             self.journal.record_job(event, job.job_id, key=job.job_key)
 
     def _check_job_done(self, job: JobState) -> None:
-        if job.error is not None:
-            if not job.done.is_set():
-                job.done.set()
-                self._finish_job_spans(job)
-                self._journal_job("completed", job)
-            return
-        if all(not rem for rem in job.stage_remaining.values()):
-            if not job.done.is_set():
-                job.done.set()
-                self._finish_job_spans(job)
-                self._journal_job("completed", job)
+        if not job.done.is_set() and all(
+            not rem for rem in job.stage_remaining.values()
+        ):
+            job.done.set()
+            self._finish_job_spans(job)
+            self._journal_job("completed", job)
+
+    def _fail_job(self, job: JobState, err: BaseException) -> None:
+        """End a job with ``err`` (caller holds the lock)."""
+        job.error = err
+        job.done.set()
+        self._finish_job_spans(job)
 
     def _handle_task_failure(self, job: JobState, report: TaskReport) -> None:
         err = report.error
@@ -1088,15 +1041,12 @@ class Driver:
                 )
                 self._resubmit_task(job, stage_index, partition)
             return
-        if isinstance(err, SerializationError):
-            # A payload that cannot cross the executor boundary is a
-            # configuration/programming error, not a task fault: surface
-            # it unwrapped so callers see the named capture directly.
-            job.error = err
-        else:
-            job.error = TaskError(str(report.task_id), err or ReproError("unknown"))
-        job.done.set()
-        self._finish_job_spans(job)
+        # A payload that cannot cross the executor boundary is a
+        # configuration/programming error, not a task fault: surface it
+        # unwrapped so callers see the named capture directly.
+        if not isinstance(err, SerializationError):
+            err = TaskError(str(report.task_id), err or ReproError("unknown"))
+        self._fail_job(job, err)
 
     def _invalidate_map_output(
         self, job: JobState, shuffle_id: int, map_index: int
@@ -1141,9 +1091,9 @@ class Driver:
         if not self._alive:
             for job in self.jobs.values():
                 if not job.is_finished():
-                    job.error = WorkerLost(worker_id, f"last worker lost ({reason})")
-                    job.done.set()
-                    self._finish_job_spans(job)
+                    self._fail_job(
+                        job, WorkerLost(worker_id, f"last worker lost ({reason})")
+                    )
             return
         # Recovery tasks across all in-flight micro-batches are resubmitted
         # together — this is the paper's parallel recovery.
@@ -1207,20 +1157,21 @@ class Driver:
         exclude: Optional[str] = None,
     ) -> None:
         """Re-place one task on a live worker (caller holds the lock)."""
-        attempts = job.attempts.get((stage_index, partition), 0)
+        key = (stage_index, partition)
+        attempts = job.attempts.get(key, 0)
         if attempts > self.conf.max_task_retries:
             # Recovery budget exhausted: fail the job with the fault
             # history instead of resubmitting forever.
-            job.error = RecoveryBudgetExceeded(
-                f"task (stage={stage_index}, partition={partition}) "
-                f"of job {job.job_id}",
-                attempts,
-                job.fault_log,
+            self._fail_job(
+                job,
+                RecoveryBudgetExceeded(
+                    f"task (stage={stage_index}, partition={partition}) "
+                    f"of job {job.job_id}",
+                    attempts,
+                    job.fault_log,
+                ),
             )
-            job.done.set()
-            self._finish_job_spans(job)
             return
-        stage = job.plan.stages[stage_index]
         if self.tracer.enabled:
             # Parent to the batch span so resubmissions (and the recovered
             # tasks' compute spans, via the stage context on the new
@@ -1231,103 +1182,47 @@ class Driver:
                 actor=DRIVER_ID,
                 stage=stage_index,
                 partition=partition,
-                attempt=job.attempts.get((stage_index, partition), 0),
+                attempt=attempts,
             )
-        if job.pre_scheduled:
-            worker_id = self._pick_worker(exclude=exclude)
-            # Recompute downstream pointers against *current* locations of
-            # the consumer tasks ("the scheduler also updates the active
-            # upstream tasks to send outputs ... to the new machines").
-            downstream: Dict[int, str] = {}
-            if stage.output_shuffle is not None:
-                spec = stage.output_shuffle
-                consumer = job.consumers.get(spec.shuffle_id)
-                if consumer is not None:
-                    if spec.structure == "tree":
-                        relevant = [partition // spec.fan_in]
-                    else:
-                        relevant = list(range(spec.num_reducers))
-                    for r in relevant:
-                        where = job.task_locations.get((consumer, r))
-                        if where is not None and where in self._alive:
-                            downstream[r] = where
-            desc = TaskDescriptor(
-                task_id=TaskId(
-                    job.job_id,
-                    stage_index,
-                    partition,
-                    job.attempts.get((stage_index, partition), 0),
-                ),
-                plan=job.plan,
-                pre_scheduled=True,
-                deps=stage.task_dependencies(partition),
-                downstream=downstream,
-                trace_ctx=self._stage_ctx(job, stage_index),
-            )
-            job.task_locations[(stage_index, partition)] = worker_id
-            job.task_started[(stage_index, partition)] = self.clock.now()
-            job.relocated.add((stage_index, partition))
-            self.metrics.counter(COUNT_TASKS_LAUNCHED).add(1)
-            self.metrics.counter(COUNT_LAUNCH_RPCS).add(1)
-            delivered = self.transport.try_call(
-                worker_id, "launch_tasks", [desc], **self._epoch_kwargs()
-            )
-            if not delivered:
-                # A recovery launch that silently vanishes wedges the task
-                # forever.  One lost message is not proof the worker died
-                # (the heartbeat monitor owns that verdict) — declaring it
-                # lost here cascades: the recovery launches it triggers can
-                # themselves fail and take down the next worker.  Re-place
-                # just this task instead; the attempt budget bounds the
-                # loop, and _pick_worker falls back to the excluded worker
-                # when it is the last one standing.
-                self._note_fault(
-                    job,
-                    f"recovery launch to {worker_id} failed "
-                    f"(stage={stage_index}, partition={partition})",
-                )
-                if partition in job.stage_remaining.get(stage_index, set()):
-                    job.attempts[(stage_index, partition)] = attempts + 1
-                    self._resubmit_task(job, stage_index, partition, exclude=worker_id)
-                return
-            if desc.deps:
-                # Pre-populate dependencies already satisfied (§3.3).
-                completed = [
-                    (dep, loc, job.map_epochs.get(dep, 0))
-                    for dep, loc in job.map_status.items()
-                    if dep in desc.deps
-                ]
-                if completed and not self.transport.try_call(
-                    worker_id,
-                    "pre_populate",
-                    job.job_id,
-                    completed,
-                    **self._epoch_kwargs(),
-                ):
-                    if not self.transport.try_call(
-                        worker_id,
-                        "pre_populate",
-                        job.job_id,
-                        completed,
-                        **self._epoch_kwargs(),
-                    ):
-                        # Task delivered but its dependency seed was not:
-                        # it would park forever.  Same remedy as a failed
-                        # launch — re-place the task, don't condemn the
-                        # worker over lost messages (the parked duplicate
-                        # is harmless: first completion wins).
-                        self._note_fault(
-                            job,
-                            f"pre_populate to {worker_id} failed "
-                            f"(stage={stage_index}, partition={partition})",
-                        )
-                        if partition in job.stage_remaining.get(stage_index, set()):
-                            job.attempts[(stage_index, partition)] = attempts + 1
-                            self._resubmit_task(
-                                job, stage_index, partition, exclude=worker_id
-                            )
-        else:
+        if not job.pre_scheduled:
             try:
                 self._launch_barrier_task(job, stage_index, partition)
             except WorkerLost:
-                job.blocked.add((stage_index, partition))
+                job.blocked.add(key)
+            return
+        worker_id = self._pick_worker(exclude=exclude)
+        desc = self._make_descriptor(job, job.plan.stages[stage_index], partition)
+        job.task_locations[key] = worker_id
+        job.task_started[key] = self.clock.now()
+        job.relocated.add(key)
+        self.metrics.counter(COUNT_TASKS_LAUNCHED).add(1)
+        self.metrics.counter(COUNT_LAUNCH_RPCS).add(1)
+        if not self.transport.try_call(
+            worker_id, "launch_tasks", [desc], **self._epoch_kwargs()
+        ):
+            failed = "recovery launch"
+        else:
+            # Pre-populate dependencies already satisfied (§3.3).
+            completed = self._completed_deps(job, desc.deps)
+            if not completed or self._seed_dependencies(
+                worker_id, job.job_id, completed
+            ):
+                return
+            failed = "pre_populate"
+        # A recovery launch (or its dependency seed) that silently
+        # vanishes wedges the task forever.  One lost message is not proof
+        # the worker died (the heartbeat monitor owns that verdict) —
+        # declaring it lost here cascades: the recovery launches it
+        # triggers can themselves fail and take down the next worker.
+        # Re-place just this task instead (a parked duplicate is harmless:
+        # first completion wins); the attempt budget bounds the loop, and
+        # _pick_worker falls back to the excluded worker when it is the
+        # last one standing.
+        self._note_fault(
+            job,
+            f"{failed} to {worker_id} failed "
+            f"(stage={stage_index}, partition={partition})",
+        )
+        if partition in job.stage_remaining.get(stage_index, set()):
+            job.attempts[key] = attempts + 1
+            self._resubmit_task(job, stage_index, partition, exclude=worker_id)

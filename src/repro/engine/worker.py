@@ -19,7 +19,6 @@ from __future__ import annotations
 import random
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.injector import chaos_hit
@@ -123,10 +122,6 @@ class Worker:
         )
 
         self._backend = create_backend(conf, worker_id)
-        # Lazily-created pool for concurrent multi-peer fetches — kept
-        # for the worker's lifetime rather than built per fetch (pool
-        # construction costs more than a small fetch itself).
-        self._fetch_pool: Optional[ThreadPoolExecutor] = None
         self._lock = threading.Lock()
         self._pending: Dict[int, PendingTaskTable] = {}  # job_id -> table
         self._parked: Dict[Tuple[int, str], TaskDescriptor] = {}
@@ -139,9 +134,8 @@ class Worker:
         self._stop_hb = threading.Event()
         # Live telemetry (repro.obs.live): a *private* registry so shipped
         # metrics attribute to this worker even when `metrics` is the
-        # registry shared across the whole LocalCluster.  Deltas piggyback
-        # on heartbeats when those are on; otherwise _telemetry_loop ships
-        # them over the transport's uncounted plumbing path.
+        # registry shared across the whole LocalCluster.  _telemetry_loop
+        # ships deltas over the transport's uncounted plumbing path.
         self.telemetry_metrics: Optional[MetricsRegistry] = None
         self._telemetry_snap: Optional[DeltaSnapshotter] = None
         self._accepted_at: Dict[str, float] = {}
@@ -177,9 +171,7 @@ class Worker:
                 target=self._heartbeat_loop, name=f"{self.worker_id}-hb", daemon=True
             )
             self._hb_thread.start()
-        elif self._telemetry_snap is not None:
-            # No heartbeats to piggyback on: ship deltas on a dedicated
-            # loop over the transport's uncounted plumbing path.
+        if self._telemetry_snap is not None:
             self._stop_tel.clear()
             self._tel_thread = threading.Thread(
                 target=self._telemetry_loop, name=f"{self.worker_id}-tel", daemon=True
@@ -197,16 +189,12 @@ class Worker:
             self._state_shards.clear()
         self._stop_hb.set()
         self._stop_tel.set()
-        if self._fetch_pool is not None:
-            self._fetch_pool.shutdown(wait=False)
         self.transport.mark_dead(self.worker_id)
 
     def shutdown(self) -> None:
         self._stop_hb.set()
         self._stop_tel.set()
         self._backend.shutdown(wait=True)
-        if self._fetch_pool is not None:
-            self._fetch_pool.shutdown(wait=False)
 
     @property
     def is_dead(self) -> bool:
@@ -217,11 +205,8 @@ class Worker:
         while not self._stop_hb.wait(self.conf.monitor.heartbeat_interval_s):
             if self.is_dead:
                 return
-            # Telemetry piggybacks on the heartbeat: same message count,
-            # bigger payload — ±0 count.rpc_messages parity preserved.
-            delta = self._telemetry_snap.delta() if self._telemetry_snap else None
             self.transport.try_call(
-                DRIVER_ID, "heartbeat", self.worker_id, time.monotonic(), delta
+                DRIVER_ID, "heartbeat", self.worker_id, time.monotonic()
             )
 
     def _telemetry_loop(self) -> None:
@@ -232,8 +217,8 @@ class Worker:
 
     def ship_telemetry(self) -> bool:
         """Ship the next telemetry delta to the driver (uncounted, like
-        ``__announce__``/``__ping__``).  An empty delta still ships: with
-        heartbeats off, these arrivals are the driver's liveness signal."""
+        ``__announce__``/``__ping__``).  An empty delta still ships: these
+        arrivals are what keeps the worker's timeline fresh."""
         if self._telemetry_snap is None or self.is_dead:
             return False
         delta = self._telemetry_snap.delta()
@@ -307,32 +292,14 @@ class Worker:
     def pre_populate(
         self,
         job_id: int,
-        completed: List[Tuple],
+        completed: List[Tuple[DepKey, str, int]],
         driver_epoch: Optional[int] = None,
     ) -> None:
-        """Driver-supplied already-completed dependencies with their block
-        locations (§3.3 recovery onto a new machine).  Entries are
-        ``((shuffle_id, map_index), location)`` or, with the producing
-        attempt included, ``((shuffle_id, map_index), location, epoch)``."""
+        """Driver-supplied already-completed dependencies (§3.3 recovery
+        onto a new machine): ``((shuffle_id, map_index), holder, epoch)``
+        entries, ``epoch`` being the producing attempt."""
         self._fence(driver_epoch)
-        to_run: List[TaskDescriptor] = []
-        with self._lock:
-            if self._dead:
-                return
-            table = self._pending.setdefault(job_id, PendingTaskTable())
-            locations = self._dep_locations.setdefault(job_id, {})
-            for entry in completed:
-                (shuffle_id, map_index), location = entry[0], entry[1]
-                epoch = entry[2] if len(entry) > 2 else 0
-                locations[(shuffle_id, map_index)] = (location, epoch)
-                for key in table.notify((shuffle_id, map_index)):
-                    desc = self._parked.pop((job_id, key), None)
-                    if desc is not None:
-                        to_run.append(desc)
-            if to_run:
-                self._tel_note_backlog()
-        for desc in to_run:
-            self._backend.submit(self._run_task, desc)
+        self._deps_available(job_id, completed)
 
     def cancel_job(self, job_id: int, driver_epoch: Optional[int] = None) -> None:
         self._fence(driver_epoch)
@@ -364,31 +331,29 @@ class Worker:
         """An upstream map task finished; wake any now-ready local task.
         ``epoch`` is the producing attempt — readers use it as the minimum
         epoch a served block must carry (stale co-named blocks miss)."""
+        self._deps_available(job_id, [((shuffle_id, map_index), src_worker, epoch)])
+
+    def _deps_available(
+        self, job_id: int, available: Sequence[Tuple[DepKey, str, int]]
+    ) -> None:
+        """Record where each ``(dep, holder, epoch)`` lives, then submit
+        every parked task this makes ready."""
         to_run: List[TaskDescriptor] = []
         with self._lock:
             if self._dead:
                 return
-            self._dep_locations.setdefault(job_id, {})[(shuffle_id, map_index)] = (
-                src_worker,
-                epoch,
-            )
+            locations = self._dep_locations.setdefault(job_id, {})
             table = self._pending.setdefault(job_id, PendingTaskTable())
-            for key in table.notify((shuffle_id, map_index)):
-                desc = self._parked.pop((job_id, key), None)
-                if desc is not None:
-                    to_run.append(desc)
+            for dep, holder, epoch in available:
+                locations[dep] = (holder, epoch)
+                for key in table.notify(dep):
+                    desc = self._parked.pop((job_id, key), None)
+                    if desc is not None:
+                        to_run.append(desc)
             if to_run:
                 self._tel_note_backlog()
         for desc in to_run:
             self._backend.submit(self._run_task, desc)
-
-    def fetch_bucket(
-        self, job_id: int, shuffle_id: int, map_index: int, reduce_index: int
-    ) -> List:
-        """Serve a shuffle bucket to a peer (pull-based data plane)."""
-        if self.is_dead:
-            raise WorkerLost(self.worker_id, "fetch from dead worker")
-        return self.blocks.get_bucket(job_id, shuffle_id, map_index, reduce_index)
 
     def fetch_buckets(
         self, job_id: int, requests: Sequence[Tuple]
@@ -808,8 +773,7 @@ class Worker:
         reference it, locally held blocks are read from the own
         :class:`BlockStore` without consulting any location table, and
         every remote peer is asked for *all* its buckets in a single
-        ``fetch_buckets`` round trip — peers in parallel, bounded by
-        ``DataPlaneConf.max_concurrent_fetches``.
+        ``fetch_buckets`` round trip, one peer after another.
 
         Location resolution order for remote blocks: explicit
         ``map_locations`` from the driver (barrier mode) then locations
@@ -873,11 +837,10 @@ class Worker:
                 partition,
                 min_epochs[(shuffle_id, map_index)],
             )
-        if by_peer:
-            for peer_buckets in self._fetch_remote(
-                job_id, partition, by_peer, min_epochs
-            ):
-                buckets.update(peer_buckets)
+        for peer, deps in by_peer.items():
+            buckets.update(
+                self._fetch_from_peer(job_id, partition, peer, deps, min_epochs)
+            )
         # Reassemble in input-shuffle/map order.  A bucket consumed by
         # more than one input shuffle is copied after its first use:
         # merge functions may consume or mutate the streams they get.
@@ -904,75 +867,19 @@ class Worker:
             )
         return fetched
 
-    def _fetch_remote(
-        self,
-        job_id: int,
-        partition: int,
-        by_peer: Dict[str, List[DepKey]],
-        min_epochs: Optional[Dict[DepKey, int]] = None,
-    ) -> List[Dict[DepKey, List]]:
-        """Issue one ``fetch_buckets`` call per peer, concurrently when
-        there are several peers (bounded)."""
-        max_conc = self.conf.transport.data_plane.max_concurrent_fetches
-        peers = list(by_peer)
-        if len(peers) == 1 or max_conc <= 1:
-            return [
-                self._fetch_from_peer(
-                    job_id, partition, peer, by_peer[peer], min_epochs
-                )
-                for peer in peers
-            ]
-        results: List[Dict[DepKey, List]] = []
-        first_err: Optional[BaseException] = None
-        pool = self._fetch_pool
-        if pool is None:
-            pool = self._fetch_pool = ThreadPoolExecutor(
-                max_workers=max_conc,
-                thread_name_prefix=f"{self.worker_id}-fetch",
-            )
-        try:
-            futures = [
-                pool.submit(
-                    self._fetch_from_peer,
-                    job_id,
-                    partition,
-                    peer,
-                    by_peer[peer],
-                    min_epochs,
-                )
-                for peer in peers
-            ]
-        except RuntimeError:  # pool shut down mid-teardown: go sequential
-            return [
-                self._fetch_from_peer(
-                    job_id, partition, peer, by_peer[peer], min_epochs
-                )
-                for peer in peers
-            ]
-        for future in futures:
-            try:
-                results.append(future.result())
-            except BaseException as err:  # noqa: BLE001 - surface the first
-                if first_err is None:
-                    first_err = err
-        if first_err is not None:
-            raise first_err
-        return results
-
     def _fetch_from_peer(
         self,
         job_id: int,
         partition: int,
         peer: str,
         deps: List[DepKey],
-        min_epochs: Optional[Dict[DepKey, int]] = None,
+        min_epochs: Dict[DepKey, int],
     ) -> Dict[DepKey, List]:
         """All buckets this task needs from one peer, one round trip.
         Each request names the minimum epoch an acceptable block must
         carry, so the peer reports a stale co-named block as missing."""
-        min_epochs = min_epochs or {}
         requests = [
-            (shuffle_id, map_index, partition, min_epochs.get((shuffle_id, map_index), 0))
+            (shuffle_id, map_index, partition, min_epochs[(shuffle_id, map_index)])
             for shuffle_id, map_index in deps
         ]
         self.metrics.counter(COUNT_NET_FETCH_BATCHES).add(1)

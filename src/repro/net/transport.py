@@ -102,7 +102,7 @@ PING = "__ping__"
 # ANNOUNCE/RESOLVE — without it the hub serves a decommissioned worker's
 # stale address forever (the ISSUE 10 satellite bugfix).
 EVICT = "__evict__"
-# Telemetry-delta shipping (repro.obs.live) when heartbeats are off:
+# Telemetry-delta shipping (repro.obs.live), heartbeats on or off:
 # plumbing like the three above, so ±0 message-count parity holds.
 METRICS = "__metrics__"
 
@@ -126,7 +126,6 @@ _MAX_LAUNCH_ATTEMPTS = 3
 _CHAOS_DROP_SAFE = frozenset(
     {
         "launch_tasks",
-        "fetch_bucket",
         "fetch_buckets",
         "notify_output",
         "heartbeat",
@@ -147,7 +146,6 @@ _CHAOS_DROP_SAFE = frozenset(
 # already-released range is a no-op.
 _CHAOS_DUP_SAFE = frozenset(
     {
-        "fetch_bucket",
         "fetch_buckets",
         "notify_output",
         "heartbeat",

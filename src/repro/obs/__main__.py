@@ -117,7 +117,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         p.add_argument(
             "--no-heartbeats",
             action="store_true",
-            help="ship telemetry on the dedicated __metrics__ path instead",
+            help="run without the heartbeat failure detector",
         )
 
     p_top = sub.add_parser("top", help="live cluster telemetry dashboard")

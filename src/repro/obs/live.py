@@ -12,17 +12,16 @@ or backlog.  This module closes that gap:
 * :class:`ClusterTelemetry` — driver-side: a time-series store with
   bounded ring buffers per ``(worker, metric)``, merge-on-arrival
   rollups, derived **health signals** over a sliding window, staleness
-  tracking off the heartbeat timeout, chaos-fault annotations, and an
+  tracking off the shipping cadence, chaos-fault annotations, and an
   SLO watchdog that emits ``slo.violation`` trace instants plus a driver
   log line when a signal breaches its configured threshold.
 
-Shipping paths (see ``docs/observability.md``): with heartbeats enabled
-the delta piggybacks on the existing ``heartbeat`` RPC (same message
-count, fresher payload); with heartbeats off, workers run a dedicated
-loop calling :meth:`BaseTransport.ship_telemetry`, which both backends
-implement as *uncounted* plumbing — like ``__announce__``/``__ping__`` —
-so arming telemetry preserves the ±0 ``count.rpc_messages`` parity
-between the inproc and tcp transports.
+Shipping (see ``docs/observability.md``) has one route, heartbeats on
+or off: each worker runs a loop calling
+:meth:`BaseTransport.ship_telemetry`, which both backends implement as
+*uncounted* plumbing — like ``__announce__``/``__ping__`` — so arming
+telemetry preserves the ±0 ``count.rpc_messages`` parity between the
+inproc and tcp transports.
 
 ``ClusterTelemetry.signals()`` is the stable API the §3.4 tuner reads
 (:meth:`GroupSizeTuner.observe_signals`) and the future ``repro.elastic``
@@ -207,8 +206,7 @@ def _ms(summary: Dict[str, float]) -> Dict[str, float]:
 class ClusterTelemetry:
     """The driver-side time-series store and signal deriver.
 
-    Thread-safe: deltas arrive from transport server threads and the
-    heartbeat path while ``signals()`` / ``rollup()`` are read from the
+    Thread-safe: deltas arrive from transport server threads while ``signals()`` / ``rollup()`` are read from the
     driver loop, the dashboard, and the HTTP endpoint.
     """
 
@@ -223,8 +221,8 @@ class ClusterTelemetry:
         self.conf = conf or TelemetryConf(enabled=True)
         self.clock = clock or WallClock()
         self.tracer = tracer if tracer is not None else NULL_RECORDER
-        # A worker is stale once nothing arrived for this long; the
-        # cluster passes heartbeat_timeout_s when heartbeats are on.
+        # A worker is stale once nothing arrived for this long: four
+        # missed shipping intervals by default.
         self.stale_after_s = (
             stale_after_s
             if stale_after_s is not None
@@ -250,7 +248,7 @@ class ClusterTelemetry:
     def ingest(self, worker_id: str, delta: Optional[Dict[str, Any]]) -> None:
         """Merge one shipped delta onto ``worker_id``'s timeline.
 
-        ``None``/empty deltas still refresh liveness (a heartbeat with
+        ``None``/empty deltas still refresh liveness (a ship with
         nothing new is proof of life, not silence)."""
         now = self.clock.now()
         with self._lock:

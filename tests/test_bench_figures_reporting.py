@@ -132,7 +132,7 @@ class TestBenchEnvironmentAndBaseline:
         env = bench_environment()
         assert set(env) >= {"cpu_count", "platform", "python", "git_sha", "transport"}
         assert env["cpu_count"] >= 1
-        assert env["transport"]["data_plane"]["max_concurrent_fetches"] >= 1
+        assert env["transport"]["data_plane"]["compress_threshold_bytes"] >= 0
 
     def test_write_bench_json_embeds_environment(self, tmp_path):
         import json

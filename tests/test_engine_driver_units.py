@@ -8,6 +8,7 @@ from repro.common.errors import ReproError
 from repro.dag.dataset import parallelize
 from repro.dag.plan import collect_action, compile_plan, dict_action
 from repro.engine.cluster import LocalCluster
+from repro.engine.task import TaskId, TaskReport
 
 from engine_test_utils import make_cluster
 
@@ -128,6 +129,34 @@ class TestMembership:
             cluster.workers["worker-1"].kill()  # dead but driver not told
             cluster.driver.notify_delivery_failed(0, 0, 0, "worker-0", "worker-1")
             assert cluster.driver.alive_workers() == ["worker-0"]
+
+
+class TestDependencyRedelivery:
+    def test_redelivered_notification_carries_the_producing_epoch(self):
+        # A dropped map-output notification is re-sent by the driver as a
+        # pre_populate entry.  It must carry the epoch of the attempt that
+        # wrote the block, or the reader's min-epoch guard falls to 0 and
+        # a stale co-named block from an older attempt could be served.
+        with make_cluster(SchedulingMode.DRIZZLE, workers=2) as cluster:
+            driver = cluster.driver
+            plan = shuffle_plan()
+            shuffle_id = plan.stages[0].output_shuffle.shuffle_id
+            job = driver._register_job(plan, None, pre_scheduled=True, reuse=False)
+            driver.task_finished(
+                TaskReport(
+                    task_id=TaskId(job.job_id, 0, 0, 2),
+                    worker_id="worker-0",
+                    succeeded=True,
+                    output_sizes={},
+                )
+            )
+            assert job.map_epochs[(shuffle_id, 0)] == 2
+            driver.notify_delivery_failed(
+                job.job_id, shuffle_id, 0, "worker-0", "worker-1"
+            )
+            learned = cluster.workers["worker-1"]._dep_locations[job.job_id]
+            assert learned[(shuffle_id, 0)] == ("worker-0", 2)
+            assert driver.alive_workers() == ["worker-0", "worker-1"]
 
 
 class TestCarryOver:

@@ -137,7 +137,7 @@ class TestLocalScheduler:
             deps=frozenset({(shuffle_id, 0)}),
         )
         worker.launch_tasks([reduce_desc])
-        worker.pre_populate(0, [((shuffle_id, 0), "w0")])
+        worker.pre_populate(0, [((shuffle_id, 0), "w0", 0)])
         assert wait_for(lambda: len(driver.reports) == 1)
         assert driver.reports[0].result == [("a", 5)]
         worker.shutdown()
@@ -187,18 +187,18 @@ class TestLocalScheduler:
             deps=frozenset({(shuffle_id, 0)}),
         )
         w0.launch_tasks([reduce_desc])
-        w0.pre_populate(0, [((shuffle_id, 0), "w1")])
+        w0.pre_populate(0, [((shuffle_id, 0), "w1", 0)])
         assert wait_for(lambda: len(driver.reports) == 1)
         assert not driver.reports[0].succeeded
         assert isinstance(driver.reports[0].error, FetchFailed)
         w0.shutdown()
         w1.shutdown()
 
-    def test_fetch_bucket_from_dead_worker_raises(self):
+    def test_fetch_buckets_from_dead_worker_raises(self):
         worker, _driver, _ = make_worker()
         worker.kill()
         with pytest.raises(WorkerLost):
-            worker.fetch_bucket(0, 0, 0, 0)
+            worker.fetch_buckets(0, [(0, 0, 0, 0)])
         worker.shutdown()
 
     def test_drop_job_clears_blocks_and_locations(self):

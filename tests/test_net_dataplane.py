@@ -152,7 +152,6 @@ class TestDataPlaneConf:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"max_concurrent_fetches": 0},
             {"compression": "lzma"},
             {"compress_threshold_bytes": -1},
         ],

@@ -62,18 +62,21 @@ def test_docstring_documents_the_migration():
 
 def test_data_plane_conf_has_exactly_the_documented_knobs():
     assert {f.name for f in fields(DataPlaneConf)} == {
-        "max_concurrent_fetches",
         "compression",
         "compress_threshold_bytes",
     }
-    # Outside input naming a removed knob is rejected, not ignored.  (The
-    # name is split so a repo-wide grep for it stays empty.)
-    removed_knob = "record" "_blocks"
-    with pytest.raises(ConfigError, match="max_concurrent_fetches"):
-        EngineConf.from_dict({"transport": {"data_plane": {removed_knob: True}}})
-    removed_knob = "stage_blob" "_cache_entries"
-    with pytest.raises(ConfigError, match="max_concurrent_fetches"):
-        EngineConf.from_dict({"transport": {"data_plane": {removed_knob: 64}}})
+    # Outside input naming a removed knob is rejected with the valid keys
+    # listed, not ignored.  (The names are split so a repo-wide grep for
+    # them stays empty.)
+    for removed_knob, value in (
+        ("record" "_blocks", True),
+        ("stage_blob" "_cache_entries", 64),
+        ("max_concurrent" "_fetches", 8),
+    ):
+        with pytest.raises(ConfigError, match="compress_threshold_bytes"):
+            EngineConf.from_dict(
+                {"transport": {"data_plane": {removed_knob: value}}}
+            )
 
 
 def test_engine_conf_has_no_templates_section():
@@ -99,6 +102,8 @@ def test_removed_data_plane_names_appear_nowhere():
         "instantiate" "_template",
         "template" "_epoch",
         "stage_blob" "_cache_entries",
+        # The concurrent shuffle-fetch / group-launch pool size.
+        "max_concurrent" "_fetches",
     )
     files = [REPO_ROOT / "README.md"]
     for top in ("src", "docs", ".github"):
