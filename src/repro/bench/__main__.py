@@ -256,11 +256,10 @@ def _elastic() -> str:
     _STRUCTURED_ROWS["elastic"] = rows
     return render_table(
         ["group_size", "first_resized_batch", "adaptation_delay_s",
-         "sim_delay_s", "delay_matches_sim", "shards_moved", "keys_moved",
-         "identical_to_fixed"],
+         "sim_delay_s", "delay_matches_sim", "resizes", "identical_to_fixed"],
         [[r["group_size"], r["first_resized_batch"], r["adaptation_delay_s"],
-          r["sim_delay_s"], r["delay_matches_sim"], r["shards_moved"],
-          r["keys_moved"], r["identical_to_fixed"]] for r in rows],
+          r["sim_delay_s"], r["delay_matches_sim"], r["resizes"],
+          r["identical_to_fixed"]] for r in rows],
         title="§3.3 — live autoscaling on the real engine under a load "
               "spike: adaptation delay grows with group size exactly as "
               "sim/elasticity.py predicts; resized results byte-identical "

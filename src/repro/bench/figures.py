@@ -754,7 +754,7 @@ def elastic_adaptation(
     grows with the group size, which is exactly the trade-off
     :func:`repro.sim.elasticity.simulate_resize` predicts.  Each row
     carries the measured delay, the simulator's prediction for the same
-    geometry, and the proof obligations: shards were really migrated and
+    geometry, and the proof obligations: the resizes really happened and
     the autoscaled counts are byte-identical to the fixed-size run's.
     """
     from repro.common.config import ElasticConf, EngineConf, SchedulingMode
@@ -858,8 +858,6 @@ def elastic_adaptation(
                 "sim_delay_s": round(sim.adaptation_delay_s, 6),
                 "delay_matches_sim": abs(measured_delay_s - sim.adaptation_delay_s)
                 < batch_interval_s / 2,
-                "shards_moved": counters.get("migration.shards_moved", 0.0),
-                "keys_moved": counters.get("migration.keys_moved", 0.0),
                 "resizes": counters.get("elastic.resizes", 0.0),
                 "identical_to_fixed": counts == fixed_counts,
             }

@@ -33,7 +33,7 @@ SITE_EXEC_COMPUTE = "exec.compute"  # Worker._execute, pre-backend
 SITE_BLOCKS_FETCH = "blocks.fetch"  # BlockStore bucket lookup
 SITE_STREAM_CHECKPOINT = "streaming.checkpoint"  # StreamingContext.checkpoint
 SITE_STREAM_GROUP = "streaming.group"  # run_batches group boundary
-SITE_ELASTIC_RESIZE = "elastic.resize"  # MigrationExecutor, mid shard move
+SITE_ELASTIC_RESIZE = "elastic.resize"  # ElasticController, after each resize
 SITE_DRIVER = "driver.control"  # StreamingContext driver-kill points (repro.ha)
 
 ALL_SITES = (
@@ -103,9 +103,10 @@ _STREAMING_TEMPLATES: List[Tuple[str, str, float]] = [
     (SITE_EXEC_COMPUTE, KIND_EXEC_STRAGGLE, 1.0),
 ]
 # The elastic profile's signature fault is a worker killed *racing* a
-# resize: the migration executor hits SITE_ELASTIC_RESIZE between the
-# shard extract and install, so a kill scheduled there lands exactly in
-# the abort/requeue window the move protocol must survive.
+# resize: the controller hits SITE_ELASTIC_RESIZE once per applied
+# resize, after the membership change and before the next group, and a
+# kill there takes out the newest joiner (scale-out) or the
+# highest-numbered survivor (scale-in).
 _ELASTIC_TEMPLATES: List[Tuple[str, str, float]] = [
     (SITE_ELASTIC_RESIZE, KIND_WORKER_KILL, 3.0),
     (SITE_WORKER_TASK, KIND_WORKER_KILL, 1.0),
@@ -123,8 +124,9 @@ _DRIVER_TEMPLATES: List[Tuple[str, str, float]] = [
     (SITE_EXEC_COMPUTE, KIND_EXEC_STRAGGLE, 1.0),
 ]
 
-# Guaranteed first event per profile: fired at a low hit count on a
-# high-traffic site so every armed run injects at least one fault.
+# Guaranteed first event per profile: fired on the first hit of a site
+# every soak workload of the profile reaches, so every armed run injects
+# at least one fault by construction.
 _PROFILE_TEMPLATES: Dict[str, Dict[str, object]] = {
     "net": {
         "templates": _NET_TEMPLATES,
@@ -236,7 +238,8 @@ class FaultPlan:
             kind_counts[kind] = kind_counts.get(kind, 0) + 1
 
         g_site, g_kind = spec["guaranteed"]  # type: ignore[misc]
-        _add(g_site, g_kind, rng.randint(1, 4))
+        rng.randint(1, 4)  # unused draw: keeps each seed's other events stable
+        _add(g_site, g_kind, 1)
 
         weights = [w for (_, _, w) in templates]
         while len(events) < n_events:

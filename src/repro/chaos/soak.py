@@ -161,11 +161,11 @@ def _run_elastic(
     conf: EngineConf, batches: List[List[str]]
 ) -> Tuple[Any, int, List[str]]:
     """Streaming wordcount under a *scripted* resize schedule: scale out
-    after the first boundary, back in later, with sharded state migrating
-    at each resize.  The schedule is deterministic (boundary-indexed), so
-    the fault-free baseline resizes identically — the property under test
-    is that a worker kill racing a scale-in (the ``elastic`` profile's
-    guaranteed fault, injected mid shard-move) still yields the exact
+    at boundary 1, back in at boundary 3, with the reduce partition count
+    following the worker count.  The schedule is deterministic
+    (boundary-indexed), so the fault-free baseline resizes identically —
+    the property under test is that a worker killed right after a resize
+    (the ``elastic`` profile's guaranteed fault) still yields the exact
     fixed-size result: no key lost, none duplicated."""
     from repro.elastic.controller import ElasticController
     from repro.elastic.policies import ScheduleScalingPolicy

@@ -256,12 +256,7 @@ class TransportConf:
 def _default_telemetry_enabled() -> bool:
     # REPRO_TELEMETRY=1 arms the live telemetry plane for a whole pytest
     # or bench run, mirroring REPRO_TRANSPORT / REPRO_CHAOS_SEED.
-    return os.environ.get("REPRO_TELEMETRY", "").strip().lower() in (
-        "1",
-        "true",
-        "on",
-        "yes",
-    )
+    return _env_flag("REPRO_TELEMETRY")
 
 
 @dataclass
@@ -388,26 +383,21 @@ ELASTIC_POLICIES = ("signals", "utilization")
 def _default_elastic_enabled() -> bool:
     # REPRO_ELASTIC=1 arms the autoscaling controller for a whole pytest
     # or soak run, mirroring REPRO_TELEMETRY.
-    return os.environ.get("REPRO_ELASTIC", "").strip().lower() in (
-        "1",
-        "true",
-        "on",
-        "yes",
-    )
+    return _env_flag("REPRO_ELASTIC")
 
 
 @dataclass
 class ElasticConf:
-    """Live autoscaling + stateful key-range migration (:mod:`repro.elastic`).
+    """Live autoscaling at group boundaries (:mod:`repro.elastic`).
 
     When enabled, the streaming context attaches an
     :class:`repro.elastic.controller.ElasticController` that consumes the
     cluster's live signals at every group boundary (§3.3 — "Drizzle
     updates the list of available resources and adjusts the tasks to be
     scheduled for the next group") and may add or drain workers between
-    groups.  Stateful operator state is tracked per key-range shard so a
-    resize moves only the minimal set of shards to the new layout, over
-    the ordinary transport, inside the group-boundary barrier.
+    groups.  A resize moves no state: streaming state stays in the
+    driver's state stores, and the next group's reduce partition count
+    follows the new worker count.
     """
 
     enabled: bool = field(default_factory=_default_elastic_enabled)
@@ -422,8 +412,9 @@ class ElasticConf:
     # controller: "signals" (live telemetry thresholds) or "utilization"
     # (batch wall-time vs interval).
     policy: str = "signals"
-    # Key-range shards per worker in the initial shard map; more shards
-    # means finer-grained (smaller) moves at each resize.
+    # Reduce partitions per placement worker for
+    # StreamingContext.shard_partitioner: the next group's reduce uses
+    # len(placement workers) * shards_per_worker hash partitions.
     shards_per_worker: int = 4
 
     def validate(self) -> None:

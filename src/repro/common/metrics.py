@@ -355,15 +355,6 @@ COUNT_ELASTIC_DECISIONS = "elastic.decisions"
 COUNT_ELASTIC_RESIZES = "elastic.resizes"
 COUNT_ELASTIC_WORKERS_ADDED = "elastic.workers_added"
 COUNT_ELASTIC_WORKERS_REMOVED = "elastic.workers_removed"
-# Key-range state migration (repro.elastic.migration): shards/keys that
-# crossed the transport during resizes, moves aborted by a mid-migration
-# WorkerLost, requeued retries after an abort, and the wall-clock spent
-# inside the group-boundary barrier executing moves.
-COUNT_MIGRATION_SHARDS_MOVED = "migration.shards_moved"
-COUNT_MIGRATION_KEYS_MOVED = "migration.keys_moved"
-COUNT_MIGRATION_ABORTS = "migration.aborts"
-COUNT_MIGRATION_RETRIES = "migration.retries"
-HIST_MIGRATION_WALL = "migration.wall_s"
 # Re-established connections: a dial to an address whose previous
 # connection was actually established before (net.redials also counts
 # attempts that never connected; net.reconnects counts only dials that

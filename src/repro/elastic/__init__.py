@@ -1,19 +1,16 @@
-"""repro.elastic — live autoscaling with stateful key-range migration.
+"""repro.elastic — live autoscaling at group boundaries.
 
-The subsystem has three layers:
+The subsystem has two layers:
 
-* :mod:`repro.elastic.shards` — key-range shards, the epoch-versioned
-  :class:`ShardMap`, and the minimal-move resize planner;
-* :mod:`repro.elastic.migration` — the executor that ships shards
-  between workers inside the group-boundary barrier, with abort/requeue
-  on mid-move failures;
 * :mod:`repro.elastic.controller` — the :class:`ElasticController` that
   turns live telemetry signals into applied resizes via the pluggable
-  :mod:`repro.elastic.policies`.
+  :mod:`repro.elastic.policies`.  A resize is a membership change plus a
+  new reduce-partition count; no state moves, because the driver's
+  :class:`~repro.streaming.state.StateStore` is the one copy of it.
+* :mod:`repro.elastic.policies` — the scaling policies.
 
-Attribute access is lazy (PEP 562): the engine's worker imports
-``repro.elastic.shards`` for the shard-hosting RPCs, and an eager import
-of the controller here would cycle back through the streaming layer.
+Attribute access is lazy (PEP 562): an eager import of the controller
+here would cycle back through the streaming layer.
 """
 
 from __future__ import annotations
@@ -23,28 +20,18 @@ from typing import TYPE_CHECKING
 _EXPORTS = {
     "ElasticController": "repro.elastic.controller",
     "ScalePlan": "repro.elastic.controller",
-    "MigrationExecutor": "repro.elastic.migration",
-    "MigrationOutcome": "repro.elastic.migration",
     "ScalingDecision": "repro.elastic.policies",
     "ScalingPolicy": "repro.elastic.policies",
     "ScheduleScalingPolicy": "repro.elastic.policies",
     "SignalScalingPolicy": "repro.elastic.policies",
     "UtilizationScalingPolicy": "repro.elastic.policies",
     "resolve_policy": "repro.elastic.policies",
-    "HASH_SPACE": "repro.elastic.shards",
-    "KeyRange": "repro.elastic.shards",
-    "ShardMap": "repro.elastic.shards",
-    "ShardMove": "repro.elastic.shards",
-    "ShardRangePartitioner": "repro.elastic.shards",
-    "plan_resize": "repro.elastic.shards",
-    "shard_position": "repro.elastic.shards",
 }
 
 __all__ = sorted(_EXPORTS)
 
 if TYPE_CHECKING:  # pragma: no cover - import-time types for checkers only
     from repro.elastic.controller import ElasticController, ScalePlan
-    from repro.elastic.migration import MigrationExecutor, MigrationOutcome
     from repro.elastic.policies import (
         ScalingDecision,
         ScalingPolicy,
@@ -52,15 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover - import-time types for checkers only
         SignalScalingPolicy,
         UtilizationScalingPolicy,
         resolve_policy,
-    )
-    from repro.elastic.shards import (
-        HASH_SPACE,
-        KeyRange,
-        ShardMap,
-        ShardMove,
-        ShardRangePartitioner,
-        plan_resize,
-        shard_position,
     )
 
 

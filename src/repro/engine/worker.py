@@ -49,7 +49,6 @@ from repro.common.metrics import (
     MetricsRegistry,
 )
 from repro.core.prescheduling import DepKey, PendingTaskTable
-from repro.elastic.shards import shard_position
 from repro.engine.blocks import BUCKET_OK, BlockStore
 from repro.engine.executors import ComputeRequest, create_backend
 from repro.engine.rpc import BaseTransport
@@ -64,35 +63,6 @@ from repro.obs.names import (
 from repro.obs.trace import NULL_RECORDER, Recorder
 
 DRIVER_ID = "driver"
-
-
-def _ranges_add(
-    owned: List[Tuple[int, int]], start: int, stop: int
-) -> List[Tuple[int, int]]:
-    """Union ``[start, stop)`` into a sorted, disjoint interval list."""
-    merged: List[Tuple[int, int]] = []
-    for s, e in sorted(owned + [(start, stop)]):
-        if merged and s <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], e))
-        else:
-            merged.append((s, e))
-    return merged
-
-
-def _ranges_subtract(
-    owned: List[Tuple[int, int]], start: int, stop: int
-) -> List[Tuple[int, int]]:
-    """Remove ``[start, stop)`` from a disjoint interval list."""
-    out: List[Tuple[int, int]] = []
-    for s, e in owned:
-        if stop <= s or e <= start:
-            out.append((s, e))
-            continue
-        if s < start:
-            out.append((s, start))
-        if stop < e:
-            out.append((stop, e))
-    return out
 
 
 class Worker:
@@ -152,11 +122,6 @@ class Worker:
         # already claimed a newer epoch — and is refused.  0 = unfenced
         # (HA off): stamps never arrive and every message passes.
         self._adopted_epoch = 0
-        # Key-range state shards hosted for the elastic migration plane
-        # (repro.elastic): per store, the owned hash ranges, their merged
-        # key->value contents, and the partitioning epoch they arrived
-        # under.  Populated and moved only at resize boundaries.
-        self._state_shards: Dict[str, Dict[str, object]] = {}
         # Extra per-record work injected by benchmarks (simulating compute).
         self.compute_delay_per_task_s = 0.0
 
@@ -186,7 +151,6 @@ class Worker:
             self._pending.clear()
             self._parked.clear()
             self._accepted_at.clear()
-            self._state_shards.clear()
         self._stop_hb.set()
         self._stop_tel.set()
         self.transport.mark_dead(self.worker_id)
@@ -377,112 +341,6 @@ class Worker:
         return not self.is_dead and self.blocks.has_map_output(
             job_id, shuffle_id, map_index, min_epoch
         )
-
-    # ------------------------------------------------------------------
-    # Key-range state shards (repro.elastic migration plane)
-    # ------------------------------------------------------------------
-    def install_state_shards(
-        self,
-        store: str,
-        epoch: int,
-        shards: List[Tuple[Tuple[int, int], Dict]],
-        deleted: Optional[List] = None,
-    ) -> bool:
-        """Accept ownership of key-range shards: ``shards`` is
-        ``[((start, stop), {key: value}), ...]``.  Idempotent — a
-        duplicate install of the same ranges at the same epoch overwrites
-        with identical contents, so the migration executor may retry
-        freely until it sees the ack.  Installs from an *older* epoch
-        than one already seen for the store are refused (a straggling
-        duplicate of a superseded migration must not resurrect state)."""
-        if self.is_dead:
-            raise WorkerLost(self.worker_id, "install on dead worker")
-        with self._lock:
-            host = self._state_shards.setdefault(
-                store, {"ranges": [], "data": {}, "epoch": epoch}
-            )
-            if epoch < host["epoch"]:  # type: ignore[operator]
-                return False
-            host["epoch"] = epoch
-            data: Dict = host["data"]  # type: ignore[assignment]
-            for bounds, payload in shards:
-                start, stop = int(bounds[0]), int(bounds[1])
-                # Re-install of an overlapping range: clear the slice
-                # first so the payload is authoritative for it.
-                for key in [k for k in data if start <= shard_position(k) < stop]:
-                    del data[key]
-                data.update(payload)
-                host["ranges"] = _ranges_add(host["ranges"], start, stop)  # type: ignore[arg-type]
-            for key in deleted or []:
-                data.pop(key, None)
-        return True
-
-    def extract_state_shards(
-        self, store: str, ranges: List[Tuple[int, int]]
-    ) -> List[Tuple[Tuple[int, int], Dict]]:
-        """Serve the held contents of ``ranges`` to the driver for a
-        migration.  The shards stay installed — the source retains them
-        until :meth:`release_state_shards` arrives after the destination
-        acked (abort safety)."""
-        if self.is_dead:
-            raise WorkerLost(self.worker_id, "extract from dead worker")
-        with self._lock:
-            host = self._state_shards.get(store)
-            data: Dict = host["data"] if host else {}  # type: ignore[assignment]
-            out = []
-            for bounds in ranges:
-                start, stop = int(bounds[0]), int(bounds[1])
-                out.append(
-                    (
-                        (start, stop),
-                        {
-                            k: v
-                            for k, v in data.items()
-                            if start <= shard_position(k) < stop
-                        },
-                    )
-                )
-        return out
-
-    def release_state_shards(self, store: str, ranges: List[Tuple[int, int]]) -> bool:
-        """Drop ownership of ``ranges`` after the destination acked."""
-        if self.is_dead:
-            raise WorkerLost(self.worker_id, "release on dead worker")
-        with self._lock:
-            host = self._state_shards.get(store)
-            if host is None:
-                return True
-            data: Dict = host["data"]  # type: ignore[assignment]
-            for bounds in ranges:
-                start, stop = int(bounds[0]), int(bounds[1])
-                for key in [k for k in data if start <= shard_position(k) < stop]:
-                    del data[key]
-                host["ranges"] = _ranges_subtract(host["ranges"], start, stop)  # type: ignore[arg-type]
-        return True
-
-    def held_state_shards(self) -> Dict[str, Dict[str, object]]:
-        """Summary of hosted shards (tests and ``obs top`` drill-down):
-        ``{store: {"ranges": [(start, stop), ...], "keys": n, "epoch": e}}``."""
-        if self.is_dead:
-            raise WorkerLost(self.worker_id, "dead worker")
-        with self._lock:
-            return {
-                store: {
-                    "ranges": sorted(host["ranges"]),  # type: ignore[arg-type]
-                    "keys": len(host["data"]),  # type: ignore[arg-type]
-                    "epoch": host["epoch"],
-                }
-                for store, host in self._state_shards.items()
-            }
-
-    def state_shard_items(self, store: str) -> List:
-        """Full (key, value) contents hosted for ``store`` — the
-        verification surface the equivalence tests gather."""
-        if self.is_dead:
-            raise WorkerLost(self.worker_id, "dead worker")
-        with self._lock:
-            host = self._state_shards.get(store)
-            return list(host["data"].items()) if host else []  # type: ignore[union-attr]
 
     # ------------------------------------------------------------------
     # Task execution

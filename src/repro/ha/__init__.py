@@ -1,8 +1,8 @@
 """Driver fault tolerance: control-plane WAL + crash-restart recovery.
 
 The driver is the only stateful singleton in the engine; everything else
-already survives chaos (worker kills, dropped frames, mid-migration
-losses).  This package closes that gap with three pieces:
+already survives chaos (worker kills, dropped frames, kills racing a
+resize).  This package closes that gap with three pieces:
 
 * :mod:`repro.ha.wal` — an append-only, fsync-batched, CRC-framed
   write-ahead log (the ``repro.net.framing`` record style, on disk) with

@@ -21,7 +21,6 @@ and compaction just persists the folded dict.  Journaled transitions
   and compaction persists that copy, so compaction is the only place
   deltas fold into a full snapshot.  Records that carry only
   ``state_snapshots`` (every store whole) replay as before.
-* ``shard_map`` — a key-range shard-map flip at an elastic boundary.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ def _initial_state() -> Dict[str, Any]:
         "committed_batches": set(),
         "last_group": None,
         "checkpoint": None,
-        "shard_map": None,
     }
 
 
@@ -98,8 +96,6 @@ def _fold(state: Dict[str, Any], record: WalRecord) -> None:
             "state_snapshots": snapshots,
             "extra": dict(payload.get("extra", {})),
         }
-    elif rtype == "shard_map":
-        state["shard_map"] = payload.get("shard_map")
     # Unknown record types fold to nothing: an old reader replaying a
     # newer journal skips what it does not understand.
 
@@ -125,7 +121,6 @@ class RecoveredState:
     workers: List[str]
     committed_batches: frozenset
     checkpoint: Optional[Dict[str, Any]]
-    shard_map: Any
     jobs: Dict[str, Any]
     replay_stats: Dict[str, int] = field(default_factory=dict)
 
@@ -158,7 +153,6 @@ def _recovered_from(state: Dict[str, Any], stats: Dict[str, int]) -> RecoveredSt
         workers=list(state["workers"]),
         committed_batches=frozenset(state["committed_batches"]),
         checkpoint=_copy_checkpoint(state["checkpoint"]),
-        shard_map=state["shard_map"],
         jobs=dict(state["jobs"]),
         replay_stats=dict(stats),
     )
@@ -262,10 +256,6 @@ class ControlJournal:
             payload["state_deltas"] = state_deltas
         with self._lock:
             self._append("checkpoint", payload, force_sync=True)
-
-    def record_shard_map(self, shard_map) -> None:
-        with self._lock:
-            self._append("shard_map", {"shard_map": shard_map}, force_sync=False)
 
     def sync(self) -> None:
         with self._lock:

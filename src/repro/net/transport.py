@@ -131,27 +131,16 @@ _CHAOS_DROP_SAFE = frozenset(
         "heartbeat",
         "task_finished",
         "pre_populate",
-        # Migration RPCs: the executor turns WorkerLost into an abort +
-        # requeue (install) or a driver-mirror fallback (extract), and
-        # release is best-effort by contract.
-        "extract_state_shards",
-        "install_state_shards",
-        "release_state_shards",
     }
 )
 # Methods that are idempotent on the receiver, so delivering the request
-# twice (at-least-once semantics) is observationally safe.  The shard
-# migration pair is idempotent by design: install is keyed by
-# (store, range, epoch) and refuses stale epochs; release of an
-# already-released range is a no-op.
+# twice (at-least-once semantics) is observationally safe.
 _CHAOS_DUP_SAFE = frozenset(
     {
         "fetch_buckets",
         "notify_output",
         "heartbeat",
         "pre_populate",
-        "install_state_shards",
-        "release_state_shards",
     }
 )
 

@@ -30,10 +30,6 @@ from repro.common.metrics import (
     COUNT_HA_WAL_REPLAYS,
     COUNT_HA_WAL_SNAPSHOTS,
     COUNT_LAUNCH_RPCS,
-    COUNT_MIGRATION_ABORTS,
-    COUNT_MIGRATION_KEYS_MOVED,
-    COUNT_MIGRATION_RETRIES,
-    COUNT_MIGRATION_SHARDS_MOVED,
     COUNT_NET_BYTES_RECEIVED,
     COUNT_NET_BYTES_SAVED_COMPRESSION,
     COUNT_NET_BYTES_SENT,
@@ -57,7 +53,6 @@ from repro.common.metrics import (
     GAUGE_HA_WAL_LAG,
     GAUGE_TELEMETRY_BACKLOG,
     GAUGE_TELEMETRY_STREAM_BACKLOG,
-    HIST_MIGRATION_WALL,
     HIST_NET_BUCKETS_PER_FETCH,
     HIST_NET_CALL_LATENCY,
     HIST_NET_MESSAGES_PER_FRAME,
@@ -86,7 +81,6 @@ SPAN_TASK_EXEC = "task.exec"  # the compute core on an executor backend
 SPAN_TASK_REPORT = "task.report"  # worker -> driver completion report
 SPAN_CHECKPOINT = "checkpoint"  # synchronous group-boundary checkpoint
 SPAN_RECOVERY = "recovery"  # worker-loss / replay recovery window
-SPAN_MIGRATION = "migration"  # key-range shard moves at one resize boundary
 
 SPAN_NAMES = frozenset(
     {
@@ -101,7 +95,6 @@ SPAN_NAMES = frozenset(
         SPAN_TASK_REPORT,
         SPAN_CHECKPOINT,
         SPAN_RECOVERY,
-        SPAN_MIGRATION,
     }
 )
 
@@ -123,7 +116,6 @@ EVENT_TASK_RESUBMIT = "task.resubmit"  # recovery/speculation re-placement
 EVENT_CHAOS_FAULT = "chaos.fault"  # one injected fault (repro.chaos)
 EVENT_SLO_VIOLATION = "slo.violation"  # telemetry watchdog threshold breach
 EVENT_SCALE_DECISION = "elastic.decision"  # §3.3 controller verdict per boundary
-EVENT_MIGRATION_ABORT = "migration.abort"  # one move abandoned mid-flight
 
 EVENT_NAMES = frozenset(
     {
@@ -132,7 +124,6 @@ EVENT_NAMES = frozenset(
         EVENT_CHAOS_FAULT,
         EVENT_SLO_VIOLATION,
         EVENT_SCALE_DECISION,
-        EVENT_MIGRATION_ABORT,
     }
 )
 
@@ -182,11 +173,6 @@ METRIC_NAMES = frozenset(
         COUNT_ELASTIC_RESIZES,
         COUNT_ELASTIC_WORKERS_ADDED,
         COUNT_ELASTIC_WORKERS_REMOVED,
-        COUNT_MIGRATION_SHARDS_MOVED,
-        COUNT_MIGRATION_KEYS_MOVED,
-        COUNT_MIGRATION_ABORTS,
-        COUNT_MIGRATION_RETRIES,
-        HIST_MIGRATION_WALL,
         COUNT_HA_WAL_APPENDS,
         COUNT_HA_WAL_FSYNCS,
         COUNT_HA_WAL_REPLAYS,
@@ -247,7 +233,6 @@ __all__ = [
     "SPAN_TASK_REPORT",
     "SPAN_CHECKPOINT",
     "SPAN_RECOVERY",
-    "SPAN_MIGRATION",
     "SPAN_NAMES",
     "PHASE_SPANS",
     "EVENT_TUNER_DECISION",
@@ -255,7 +240,6 @@ __all__ = [
     "EVENT_CHAOS_FAULT",
     "EVENT_SLO_VIOLATION",
     "EVENT_SCALE_DECISION",
-    "EVENT_MIGRATION_ABORT",
     "EVENT_NAMES",
     "METRIC_NAMES",
     "NET_CALL_LATENCY_PREFIX",

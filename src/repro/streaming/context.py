@@ -106,11 +106,8 @@ class StreamingContext:
 
     def set_elasticity(self, controller) -> None:
         """Attach an elastic-scaling controller, consulted at every group
-        boundary (§3.3: resources adjust between groups, never within).
-        Every state store is registered with it for key-range migration."""
+        boundary (§3.3: resources adjust between groups, never within)."""
         self._elasticity = controller
-        for store in self.state_stores.values():
-            controller.register_store(store)
 
     # ------------------------------------------------------------------
     # Graph construction
@@ -124,31 +121,25 @@ class StreamingContext:
         self.output_ops.append(OutputOp(len(self.output_ops), stream, callback))
 
     def state_store(self, name: str) -> StateStore:
-        """Create-or-get a named state store (included in checkpoints).
-
-        With an elastic controller attached the store is registered with
-        it, so its keyspace is tracked per key-range shard and a resize
-        migrates state instead of dropping it."""
+        """Create-or-get a named state store (included in checkpoints)."""
         if name not in self.state_stores:
-            store = StateStore(name)
-            self.state_stores[name] = store
-            if self._elasticity is not None:
-                self._elasticity.register_store(store)
+            self.state_stores[name] = StateStore(name)
         return self.state_stores[name]
 
     def shard_partitioner(self, name: str):
-        """A per-batch partitioner provider for ``name``'s shard layout:
-        pass to :meth:`DStream.reduce_by_key` so each batch hashes with
-        the *current* shard-map epoch — after a resize flips the epoch at
-        a group boundary, the next group's tasks hash to the new layout.
-        Returns ``None`` from the provider when no elastic controller (or
-        no such store) is attached, which falls back to the default hash
+        """A per-batch partitioner provider for the reduce that feeds the
+        state store ``name`` (created if missing): pass it to
+        :meth:`DStream.reduce_by_key` so each batch hashes into
+        ``shards_per_worker`` partitions per current placement worker —
+        after a resize at a group boundary, the next group's tasks use
+        the new count.  The provider returns ``None`` when no elastic
+        controller is attached, which falls back to the default hash
         partitioner."""
-        self.state_store(name)  # ensure the store exists and is registered
+        self.state_store(name)
 
         def _provider():
             controller = self._elasticity
-            return None if controller is None else controller.partitioner_for(name)
+            return None if controller is None else controller.partitioner()
 
         return _provider
 

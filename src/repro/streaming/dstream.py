@@ -60,8 +60,8 @@ class DStream:
         ``partitioner`` may be a :class:`~repro.dag.partitioning.Partitioner`
         or a zero-argument callable returning one (or ``None``).  The
         callable form is resolved per batch, so an elastic resize between
-        groups re-partitions the *next* batch under the flipped shard-map
-        epoch (see :meth:`StreamingContext.shard_partitioner`)."""
+        groups re-partitions the *next* batch over the new partition
+        count (see :meth:`StreamingContext.shard_partitioner`)."""
 
         def _apply(ds):
             p = partitioner() if callable(partitioner) else partitioner

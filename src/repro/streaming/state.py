@@ -15,9 +15,8 @@ changed since its last snapshot and keeps a read-only copy of every value
 as of that snapshot; :meth:`StateStore.snapshot` deep-copies only the
 changed keys, sharing every other value with the previous snapshot.
 Snapshots are therefore read-only, the dict as well as its values.  The
-same per-key change tracking feeds two consumers: the checkpoint (and,
-through :meth:`StateStore.take_changes`, the journal's delta records)
-and the key-range migration of :mod:`repro.elastic.migration`.
+per-key change tracking feeds the checkpoint and, through
+:meth:`StateStore.take_changes`, the journal's delta records.
 
 The tracking contract — what counts as a change:
 
@@ -58,19 +57,12 @@ def _read_only_copy(value: Any) -> Any:
 class StateStore:
     """A named key->state map with incremental snapshot/restore.
 
-    Two cursors consume the store's per-key changes:
-
-    * the *checkpoint* cursor: :meth:`snapshot` copies the keys changed
-      since the previous snapshot over a copy of that snapshot, and
-      :meth:`take_changes` hands the journal what that copy gained and
-      lost since the previous take.  The first snapshot after creation or
-      :meth:`restore` copies everything (the full base).
-    * the *migration* cursor: :meth:`delta_for_range` /
-      :meth:`mark_range_synced` / :meth:`extract_range`, what the elastic
-      controller's key-range moves overlay on a worker's shard copy.
-      Until a range is first acknowledged every key counts as unsynced —
-      the empty worker copies a registration starts from — so a store
-      that is never migrated never accumulates a dirty set.
+    The *checkpoint* cursor consumes the store's per-key changes:
+    :meth:`snapshot` copies the keys changed since the previous snapshot
+    over a copy of that snapshot, and :meth:`take_changes` hands the
+    journal what that copy gained and lost since the previous take.  The
+    first snapshot after creation or :meth:`restore` copies everything
+    (the full base).
     """
 
     def __init__(self, name: str):
@@ -85,15 +77,6 @@ class StateStore:
         # (updated key -> copy, deleted keys), or None when the base was
         # rebuilt (the journal needs all of it).
         self._untaken: Optional[Tuple[Dict[Any, Any], Set[Any]]] = None
-        # Migration cursor: keys changed since their range was last
-        # synced; None until the first sync (every key unsynced).
-        self._unsynced: Optional[Set[Any]] = None
-
-    def _touch(self, key: Any) -> None:
-        """Record a change to ``key`` for both cursors (lock held)."""
-        self._changed.add(key)
-        if self._unsynced is not None:
-            self._unsynced.add(key)
 
     def get(self, key: Any, default: Any = None) -> Any:
         with self._lock:
@@ -101,18 +84,18 @@ class StateStore:
             if value is _MISSING:
                 return default
             if not _is_atom(value):
-                self._touch(key)
+                self._changed.add(key)
             return value
 
     def put(self, key: Any, value: Any) -> None:
         with self._lock:
             self._state[key] = value
-            self._touch(key)
+            self._changed.add(key)
 
     def delete(self, key: Any) -> None:
         with self._lock:
             if self._state.pop(key, _MISSING) is not _MISSING:
-                self._touch(key)
+                self._changed.add(key)
 
     def update_many(
         self, updates: Dict[Any, Any], merge: Callable[[Any, Any], Any]
@@ -126,16 +109,11 @@ class StateStore:
                 else:
                     state[key] = value
             self._changed.update(updates)
-            if self._unsynced is not None:
-                self._unsynced.update(updates)
 
     def items(self) -> List:
         with self._lock:
             pairs = list(self._state.items())
-            handed_out = [key for key, value in pairs if not _is_atom(value)]
-            self._changed.update(handed_out)
-            if self._unsynced is not None:
-                self._unsynced.update(handed_out)
+            self._changed.update(key for key, value in pairs if not _is_atom(value))
             return pairs
 
     def __len__(self) -> int:
@@ -191,60 +169,11 @@ class StateStore:
 
     def restore(self, snapshot: Dict[Any, Any]) -> None:
         """Replace the contents with a deep copy of ``snapshot``.  The next
-        snapshot is a full base.  Every key of the old and the new
-        contents becomes unsynced: a worker shard copy holds only keys
-        that were synced once, and each of those is either still in the
-        old contents or already unsynced as a deletion, so the overlay
-        stays exact."""
+        snapshot is a full base."""
         with self._lock:
-            if self._unsynced is not None:
-                self._unsynced.update(self._state)
             self._state = copy.deepcopy(snapshot)
             self._changed = set()
             self._full = True
-            if self._unsynced is not None:
-                self._unsynced.update(self._state)
-
-    # ------------------------------------------------------------------
-    # Migration cursor (repro.elastic.migration)
-    # ------------------------------------------------------------------
-    def extract_range(self, key_range: Any) -> Dict[Any, Any]:
-        """Authoritative current contents of ``key_range`` (the recovery
-        payload when a move's source worker is gone)."""
-        with self._lock:
-            return {
-                k: copy.deepcopy(v)
-                for k, v in self._state.items()
-                if key_range.contains_key(k)
-            }
-
-    def delta_for_range(self, key_range: Any) -> Dict[str, Any]:
-        """Updates and deletions inside ``key_range`` since its last sync,
-        as ``{"updates": {...}, "deleted": [...]}``."""
-        with self._lock:
-            state = self._state
-            unsynced = state.keys() if self._unsynced is None else self._unsynced
-            updates: Dict[Any, Any] = {}
-            deleted: List[Any] = []
-            for key in unsynced:
-                if not key_range.contains_key(key):
-                    continue
-                if key in state:
-                    updates[key] = copy.deepcopy(state[key])
-                else:
-                    deleted.append(key)
-        return {"updates": updates, "deleted": deleted}
-
-    def mark_range_synced(self, key_range: Any) -> None:
-        """A destination acked ``key_range``: its worker copy is current."""
-        with self._lock:
-            unsynced = set(self._state) if self._unsynced is None else self._unsynced
-            self._unsynced = {k for k in unsynced if not key_range.contains_key(k)}
-
-
-# The elastic plane's name for the same store, from when only migrating
-# stores tracked changed keys.
-ShardedStateStore = StateStore
 
 
 @dataclass

@@ -20,6 +20,7 @@ from repro.chaos.plan import (
     SITE_WORKER_TASK,
     FaultEvent,
     FaultPlan,
+    _PROFILE_TEMPLATES,
 )
 from repro.common.config import CHAOS_PROFILES
 from repro.common.errors import ConfigError, ReproError
@@ -70,11 +71,13 @@ class TestFaultPlan:
 
     @pytest.mark.parametrize("profile", CHAOS_PROFILES)
     def test_guaranteed_early_event(self, profile):
-        # Every plan schedules at least one fault within the first few
-        # hits of a high-traffic site, so armed runs always inject.
+        # Every plan schedules its profile's guaranteed fault on the
+        # site's first hit, so armed runs always inject (the soak test
+        # checks each workload reaches that site).
+        site, kind = _PROFILE_TEMPLATES[profile]["guaranteed"]
         for seed in range(8):
             plan = FaultPlan.generate(seed, profile)
-            assert any(e.at_hit <= 4 for e in plan)
+            assert any((e.site, e.kind, e.at_hit) == (site, kind, 1) for e in plan)
 
     def test_intensity_scales_event_count(self):
         assert len(FaultPlan.generate(0, "mixed", intensity=0.1)) == 1

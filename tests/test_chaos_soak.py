@@ -7,8 +7,12 @@ runs the real tcp+process matrix.
 
 import json
 
+import pytest
+
 from repro.chaos import soak
-from repro.chaos.soak import SoakSettings, main, run_soak
+from repro.chaos.injector import ChaosInjector, install, uninstall
+from repro.chaos.plan import _PROFILE_TEMPLATES, FaultPlan
+from repro.chaos.soak import DEFAULT_PROFILE, SoakSettings, main, run_soak
 
 
 def fast_settings(**kwargs):
@@ -136,6 +140,42 @@ class TestRunSoak:
             fast_settings(workload="quiet"), seeds=1, echo=lambda _: None
         )
         assert summary["ok"] is False
+
+
+# Every soak pairing CI runs: each workload with its default profile,
+# plus plain wordcount under the workers profile.
+_CI_PAIRINGS = sorted(DEFAULT_PROFILE.items()) + [("wordcount", "workers")]
+
+
+class TestGuaranteedFaultReachability:
+    @pytest.mark.parametrize("workload,profile", _CI_PAIRINGS)
+    def test_guaranteed_site_is_reached(self, workload, profile):
+        """A fault-free run of the soak workload, at CI's default batches
+        and schedule, reaches the profile's guaranteed site at least as
+        often as any seed's plan needs, so no armed run can end with
+        zero faults injected."""
+        site, kind = _PROFILE_TEMPLATES[profile]["guaranteed"]
+        needed = max(
+            min(
+                e.at_hit
+                for e in FaultPlan.generate(seed, profile)
+                if (e.site, e.kind) == (site, kind)
+            )
+            for seed in range(1000)
+        )
+        # CI's shape (3 workers, 6 batches, groups of 3) on the fast
+        # substrate: the sites counted here do not depend on it.
+        settings = fast_settings(workload=workload, profile=profile, batches=6)
+        batches = soak._word_batches(
+            settings.workers * 1000 + settings.batches, settings.batches
+        )
+        counter = ChaosInjector(FaultPlan([], profile=profile))
+        install(counter)
+        try:
+            soak.WORKLOADS[workload](soak._make_conf(settings, None), batches)
+        finally:
+            uninstall(counter)
+        assert counter._hits.get(site, 0) >= needed
 
 
 class TestCli:

@@ -1,16 +1,23 @@
 """The elastic controller end to end: a streaming job that resizes at
 group boundaries must produce results byte-identical to a fixed-size run,
-with zero extra RPCs on every non-resize boundary."""
+with zero extra RPCs on every non-resize boundary, and a resize itself
+moves no state."""
 
 import pytest
 
+from repro.chaos.injector import ChaosInjector, install, uninstall
+from repro.chaos.plan import (
+    KIND_WORKER_KILL,
+    SITE_ELASTIC_RESIZE,
+    FaultEvent,
+    FaultPlan,
+)
 from repro.common.config import ElasticConf, EngineConf, TelemetryConf
 from repro.common.errors import ConfigError
 from repro.common.metrics import (
     COUNT_ELASTIC_RESIZES,
     COUNT_ELASTIC_WORKERS_ADDED,
     COUNT_ELASTIC_WORKERS_REMOVED,
-    COUNT_MIGRATION_KEYS_MOVED,
     COUNT_RPC_MESSAGES,
 )
 from repro.elastic.controller import ElasticController
@@ -18,7 +25,7 @@ from repro.elastic.policies import ScheduleScalingPolicy, SignalScalingPolicy
 from repro.engine.cluster import LocalCluster
 from repro.streaming.context import StreamingContext
 from repro.streaming.sources import FixedBatchSource
-from repro.streaming.state import ShardedStateStore
+from repro.streaming.state import StateStore
 
 WORDS = "the quick brown fox jumps over the lazy dog again and again".split()
 BATCHES = [[WORDS[(i + j) % len(WORDS)] for j in range(6)] for i in range(12)]
@@ -27,11 +34,11 @@ for i in range(4, 8):
     BATCHES[i] = BATCHES[i] * 3
 
 
-def _run(schedule, *, shards_per_worker=2, elastic=True):
+def _run(schedule, *, shards_per_worker=2, elastic=True, num_workers=2):
     """Streaming wordcount over BATCHES; returns (final counts, metrics
     snapshot, controller or None)."""
     conf = EngineConf(
-        num_workers=2,
+        num_workers=num_workers,
         group_size=2,
         elastic=ElasticConf(enabled=False, shards_per_worker=shards_per_worker),
         telemetry=TelemetryConf(enabled=True),
@@ -73,16 +80,12 @@ class TestLoadSpikeEquivalence:
         fixed, _, _, _ = _run({}, elastic=False)
         elastic, snap, controller, rollup = _run({1: +2, 4: -2})
         assert elastic == fixed
-        # The resizes really happened, and shards really moved.
+        # The resizes really happened.
         assert snap[COUNT_ELASTIC_RESIZES] == 2
         assert snap[COUNT_ELASTIC_WORKERS_ADDED] == 2
         assert snap[COUNT_ELASTIC_WORKERS_REMOVED] == 2
-        assert snap[COUNT_MIGRATION_KEYS_MOVED] > 0
         deltas = [p.delta for p in controller.plans]
         assert deltas == [+2, -2]
-        # Each applied plan records the epoch its shard maps flipped to.
-        assert controller.plans[0].epochs[0][1] == 1
-        assert controller.plans[1].epochs[0][1] == 2
 
     def test_rpc_parity_without_resizes(self):
         """A controller that never resizes must cost exactly zero RPCs:
@@ -135,23 +138,81 @@ class TestControllerGuardrails:
             assert [d.delta_workers for d in controller.decisions] == [5, -5]
             assert [p.delta for p in controller.plans] == [1, -1]
 
-    def test_crash_between_boundaries_repairs_layout(self):
-        """delta == 0 boundaries still repair shard maps after a crash:
-        the dead machine's ranges reassign from the driver mirror."""
+    def test_crash_shrinks_the_partition_count(self):
+        """A crash between boundaries is a membership change like any
+        other: the next group's reduce spreads over the survivors."""
+        conf = ElasticConf(enabled=True, shards_per_worker=3)
         with LocalCluster(EngineConf(num_workers=3)) as cluster:
             controller = ElasticController(
-                cluster, policy=ScheduleScalingPolicy({})
+                cluster, policy=ScheduleScalingPolicy({}), conf=conf
             )
-            store = ShardedStateStore("s")
-            for i in range(20):
-                store.put(f"k{i}", i)
-            controller.register_store(store)
+            assert controller.partitioner().num_partitions == 9
             cluster.kill_worker("worker-2", notify_driver=True)
             decision = controller.at_group_boundary([])
             assert decision.delta_workers == 0
-            final = controller.shard_map("s")
-            final.validate()
-            assert "worker-2" not in final.workers()
+            placement = cluster.driver.placement_workers()
+            assert "worker-2" not in placement
+            assert controller.partitioner().num_partitions == len(placement) * 3 == 6
+
+
+class TestResizeMovesNothing:
+    def test_scale_out_sends_no_counted_messages(self):
+        """A resize is a membership change plus a new partition count:
+        with a non-empty state store, scaling out by one costs zero
+        counted RPCs."""
+        conf = EngineConf(num_workers=2, group_size=2)
+        with LocalCluster(conf) as cluster:
+            ctx = StreamingContext(
+                cluster, FixedBatchSource(BATCHES, 4), batch_interval_s=0.05
+            )
+            store = ctx.state_store("counts")
+            (
+                ctx.stream()
+                .map(lambda w: (w, 1))
+                .reduce_by_key(
+                    lambda a, b: a + b, 4, partitioner=ctx.shard_partitioner("counts")
+                )
+                .update_state(store, merge=lambda a, b: a + b)
+            )
+            ctx.run_batches(4)
+            assert len(store) > 0
+            controller = ElasticController(
+                cluster,
+                policy=ScheduleScalingPolicy({0: +1}),
+                conf=ElasticConf(enabled=True, shards_per_worker=2),
+            )
+            ctx.set_elasticity(controller)
+            before = cluster.metrics.counters_snapshot()[COUNT_RPC_MESSAGES]
+            controller.at_group_boundary(ctx.batch_stats)
+            after = cluster.metrics.counters_snapshot()[COUNT_RPC_MESSAGES]
+            assert [p.delta for p in controller.plans] == [+1]
+            assert after == before
+            assert controller.partitioner().num_partitions == 6
+
+    @pytest.mark.parametrize(
+        "schedule,num_workers", [({0: +1}, 2), ({0: -1}, 3)], ids=["out", "in"]
+    )
+    def test_worker_killed_at_resize_keeps_counts_exact(self, schedule, num_workers):
+        """The elastic chaos profile's signature fault, with groups still
+        to run: a resize at boundary 0, then the newest joiner (scale-out)
+        or the highest-numbered survivor (scale-in) dies before the next
+        group.  The counts match the fixed-size run exactly."""
+        fixed, _, _, _ = _run({}, elastic=False)
+        plan = FaultPlan(
+            [FaultEvent(0, SITE_ELASTIC_RESIZE, KIND_WORKER_KILL, 1)],
+            profile="elastic",
+        )
+        injector = ChaosInjector(plan, kill_budget=1)
+        install(injector)
+        try:
+            counts, snap, controller, _ = _run(schedule, num_workers=num_workers)
+        finally:
+            uninstall(injector)
+        assert counts == fixed
+        assert injector.injected_count == 1
+        assert snap[COUNT_ELASTIC_RESIZES] == 1
+        victim = injector.records[0]["target"]
+        assert victim == ("worker-2" if schedule[0] > 0 else "worker-1")
 
 
 class TestSignalPolicy:
@@ -199,5 +260,5 @@ class TestConfAndCompat:
             )
             assert isinstance(ctx._elasticity, ElasticController)
             store = ctx.state_store("counts")
-            assert isinstance(store, ShardedStateStore)
-            assert ctx._elasticity.shard_map("counts") is not None
+            assert isinstance(store, StateStore)
+            assert ctx._elasticity.partitioner().num_partitions == 4

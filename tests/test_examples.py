@@ -17,7 +17,7 @@ CHECKS = {
     "adaptive_streaming.py": ["final reducer count", "elasticity decisions"],
     "elastic_scaling.py": [
         "counts identical to fixed-size run: True",
-        "shards migrated:",
+        "resizes applied: 2",
     ],
     "trace_telemetry.py": ["span totals agree with counters: True"],
     "network_cluster.py": [

@@ -181,7 +181,9 @@ class TestJournalFold:
         journal.record_job("submitted", 2, key=(0, 1))
         journal.record_group_commit([0, 1], job_keys=[(0, 0), (0, 1)])
         journal.record_checkpoint(1, 2, {"counts": {"a": 4}}, extra={"next_batch": 2})
-        journal.record_shard_map({"counts": [[0, 64]]})
+        # A record type this reader no longer writes (an elastic shard-map
+        # flip from older journals) folds to nothing: replay still works.
+        journal.wal.append("shard_map", {"shard_map": {"counts": [[0, 64]]}})
         journal.close()
 
         state = ControlJournal.recover(str(tmp_path))
@@ -191,7 +193,7 @@ class TestJournalFold:
         assert state.jobs["open"] == []  # committed group retired them
         assert state.checkpoint["state_snapshots"] == {"counts": {"a": 4}}
         assert state.next_batch == 2
-        assert state.shard_map == {"counts": [[0, 64]]}
+        assert not hasattr(state, "shard_map")
 
     def test_compaction_preserves_fold(self, tmp_path):
         journal = ControlJournal(str(tmp_path), snapshot_every_n_groups=2)

@@ -104,6 +104,12 @@ def test_removed_data_plane_names_appear_nowhere():
         "stage_blob" "_cache_entries",
         # The concurrent shuffle-fetch / group-launch pool size.
         "max_concurrent" "_fetches",
+        # The worker-side state replica and its migration protocol.
+        "_state" "_shards",
+        "Shard" "Map",
+        "Migration" "Executor",
+        "ShardedState" "Store",
+        "migration" ".shards_moved",
     )
     files = [REPO_ROOT / "README.md"]
     for top in ("src", "docs", ".github"):

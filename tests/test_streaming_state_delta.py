@@ -1,19 +1,16 @@
-"""Incremental checkpoints: one state store, two cursors, delta journal.
+"""Incremental checkpoints: one state store, one cursor, delta journal.
 
 A :class:`StateStore` tracks which keys changed.  The checkpoint cursor
 lets ``snapshot()`` deep-copy only those keys and lets the journal record
-only the delta; the migration cursor supplies key-range overlays to the
-elastic plane.  The property test interleaves every operation that can
+only the delta.  The property test interleaves every operation that can
 change state — including in-place mutation through references handed out
 by ``get``/``items`` and merges that mutate the old value — and checks,
-after every step, against models kept by hand:
+after every step, against a model kept by hand:
 
 * every snapshot equals a deep copy of the live state and never changes
   afterwards;
 * replaying the WAL at every prefix — including prefixes cut after a
-  compaction, and torn tails — yields the last journaled checkpoint;
-* migration overlays match a hand-tracked dirty set and, laid over a
-  worker copy synced by hand, reproduce the live contents of the range.
+  compaction, and torn tails — yields the last journaled checkpoint.
 """
 
 import ast
@@ -26,18 +23,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.common.config import EngineConf, HaConf, TracingConf
 from repro.common.metrics import COUNT_CHECKPOINT_KEYS_COPIED
-from repro.elastic.shards import HASH_SPACE, KeyRange
 from repro.engine.cluster import LocalCluster
 from repro.ha.journal import ControlJournal
 from repro.ha.wal import LOG_NAME, SNAPSHOT_NAME, WriteAheadLog
 from repro.obs.names import SPAN_CHECKPOINT
 from repro.streaming import EpochFencedSink, FixedBatchSource, StreamingContext
-from repro.streaming.state import ShardedStateStore, StateStore
+from repro.streaming import state as state_module
+from repro.streaming.state import StateStore
 
 STORE = "s"
 KEYS = [f"k{i}" for i in range(4)]
-THIRD = HASH_SPACE // 3
-RANGES = [KeyRange(0, THIRD), KeyRange(THIRD, 2 * THIRD), KeyRange(2 * THIRD, HASH_SPACE)]
 
 mutable_values = st.lists(st.integers(0, 9), max_size=3)
 values = st.one_of(
@@ -61,8 +56,6 @@ ops = st.one_of(
     st.tuples(st.just("checkpoint")),
     st.tuples(st.just("group_commit")),
     st.tuples(st.just("restore"), st.integers(0, 1000)),
-    st.tuples(st.just("delta"), st.integers(0, len(RANGES) - 1)),
-    st.tuples(st.just("sync"), st.integers(0, len(RANGES) - 1)),
 )
 
 
@@ -85,39 +78,6 @@ def mutate(value):
     """The in-place change a caller makes to a value it was handed."""
     if isinstance(value, list):
         value.append(7)
-
-
-def in_range(mapping, key_range):
-    return {k: v for k, v in mapping.items() if key_range.contains_key(k)}
-
-
-class Model:
-    """The store's behaviour kept by hand: live contents, the keys changed
-    since each range's last sync (``None``: no sync yet, every key), and
-    the worker copy each range held at its last sync."""
-
-    def __init__(self):
-        self.live = {}
-        self.unsynced = None
-        self.worker = [{} for _ in RANGES]
-
-    def touch(self, key):
-        if self.unsynced is not None:
-            self.unsynced.add(key)
-
-    def hand_out(self, key):
-        """A value leaving the store by reference: only a mutable one can
-        change behind the store's back, so only that one counts."""
-        if isinstance(self.live[key], list):
-            self.touch(key)
-
-    def expected_delta(self, key_range):
-        candidates = set(self.live) if self.unsynced is None else self.unsynced
-        mine = {k for k in candidates if key_range.contains_key(k)}
-        return (
-            {k: self.live[k] for k in mine if k in self.live},
-            {k for k in mine if k not in self.live},
-        )
 
 
 class WalPrefixes:
@@ -174,7 +134,7 @@ class WalPrefixes:
 @given(st.lists(ops, min_size=15, max_size=60))
 def test_any_interleaving_matches_the_deep_copy_reference(steps):
     store = StateStore(STORE)
-    model = Model()
+    live = {}  # the store's contents kept by hand
     snapshots = []  # (returned snapshot, deep copy taken at the time)
     journaled = None  # what the last checkpoint record must replay to
     with tempfile.TemporaryDirectory() as wal_dir:
@@ -187,36 +147,30 @@ def test_any_interleaving_matches_the_deep_copy_reference(steps):
             if kind == "put":
                 _, key, value = step
                 store.put(key, value)
-                model.live[key] = copy.deepcopy(value)
-                model.touch(key)
+                live[key] = copy.deepcopy(value)
             elif kind == "update_many":
                 _, updates, how = step
                 merge = merge_new if how == "new" else merge_in_place
                 store.update_many(updates, merge)
                 for key, value in copy.deepcopy(updates).items():
-                    live = model.live
                     live[key] = merge(live[key], value) if key in live else value
-                    model.touch(key)
             elif kind == "delete":
                 key = step[1]
                 store.delete(key)
-                if model.live.pop(key, None) is not None:
-                    model.touch(key)
+                live.pop(key, None)
             elif kind == "get_mutate":
                 key = step[1]
                 value = store.get(key)
-                if key in model.live:
+                if key in live:
                     mutate(value)
-                    mutate(model.live[key])
-                    model.hand_out(key)
+                    mutate(live[key])
             elif kind == "items_mutate":
                 for key, value in store.items():
                     mutate(value)
-                    mutate(model.live[key])
-                    model.hand_out(key)
+                    mutate(live[key])
             elif kind in ("snapshot", "checkpoint"):
                 snap = store.snapshot()
-                assert snap == model.live
+                assert snap == live
                 snapshots.append((snap, copy.deepcopy(snap)))
                 if kind == "checkpoint":
                     delta = store.take_changes()
@@ -228,7 +182,7 @@ def test_any_interleaving_matches_the_deep_copy_reference(steps):
                         {STORE: snap} if delta is None else {},
                         state_deltas={} if delta is None else {STORE: delta},
                     )
-                    journaled = {STORE: copy.deepcopy(model.live)}
+                    journaled = {STORE: copy.deepcopy(live)}
                     prefixes.capture(journaled)
             elif kind == "group_commit":
                 journal.record_group_commit([batch])
@@ -236,33 +190,8 @@ def test_any_interleaving_matches_the_deep_copy_reference(steps):
                 prefixes.capture(journaled)
             elif kind == "restore":
                 source = snapshots[step[1] % len(snapshots)][0] if snapshots else {}
-                if model.unsynced is not None:
-                    model.unsynced |= set(model.live) | set(source)
                 store.restore(source)
-                model.live = copy.deepcopy(source)
-            elif kind == "delta":
-                key_range = RANGES[step[1]]
-                delta = store.delta_for_range(key_range)
-                updates, deleted = model.expected_delta(key_range)
-                assert delta["updates"] == updates
-                assert set(delta["deleted"]) == deleted
-                # Overlaid on the worker copy from the last sync, the delta
-                # reproduces the live range; the mirror is the range itself.
-                overlay = dict(model.worker[step[1]])
-                overlay.update(delta["updates"])
-                for key in delta["deleted"]:
-                    overlay.pop(key, None)
-                assert overlay == in_range(model.live, key_range)
-                assert store.extract_range(key_range) == in_range(model.live, key_range)
-            elif kind == "sync":
-                key_range = RANGES[step[1]]
-                model.worker[step[1]] = copy.deepcopy(in_range(model.live, key_range))
-                store.mark_range_synced(key_range)
-                if model.unsynced is None:
-                    model.unsynced = set(model.live)
-                model.unsynced = {
-                    k for k in model.unsynced if not key_range.contains_key(k)
-                }
+                live = copy.deepcopy(source)
             # No earlier snapshot ever moves, whatever happened since.
             for snap, frozen in snapshots:
                 assert snap == frozen
@@ -271,8 +200,8 @@ def test_any_interleaving_matches_the_deep_copy_reference(steps):
 
 
 class TestCursors:
-    def test_sharded_store_is_the_one_store(self):
-        assert ShardedStateStore is StateStore
+    def test_state_store_is_the_one_store_class(self):
+        assert not hasattr(state_module, "ShardedStateStore")
         source = pathlib.Path(__file__).resolve().parent.parent / "src/repro/streaming/state.py"
         classes = [
             node.name
@@ -280,17 +209,6 @@ class TestCursors:
             if isinstance(node, ast.ClassDef)
         ]
         assert [name for name in classes if name.endswith("StateStore")] == ["StateStore"]
-
-    def test_unmigrated_store_keeps_no_migration_dirty_set(self):
-        store = StateStore(STORE)
-        for i in range(100):
-            store.put(f"k{i}", [i])
-            store.update_many({f"k{i}": [i]}, merge_in_place)
-            store.get(f"k{i}")
-        store.items()
-        assert store._unsynced is None
-        store.snapshot()
-        assert store._changed == set()
 
     def test_snapshots_copy_only_changed_keys(self):
         store = StateStore(STORE)
@@ -342,18 +260,6 @@ class TestCursors:
         store.get("b").append(4)
         assert second == {"a": [1], "b": [2]}
         assert store.snapshot() == {"a": [1, 3], "b": [2, 4]}
-
-    def test_restore_unsyncs_keys_it_drops(self):
-        """A key a worker copy holds and the restored contents lack must
-        reach the next overlay as a deletion."""
-        store = StateStore(STORE)
-        store.put("gone", 1)
-        store.put("kept", 2)
-        whole = KeyRange(0, HASH_SPACE)
-        store.mark_range_synced(whole)  # worker copy: {"gone": 1, "kept": 2}
-        store.restore({"kept": 2})
-        delta = store.delta_for_range(whole)
-        assert delta == {"updates": {"kept": 2}, "deleted": ["gone"]}
 
     def test_a_key_deleted_then_put_back_between_takes_is_an_update(self):
         store = StateStore(STORE)
