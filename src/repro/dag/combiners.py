@@ -50,12 +50,13 @@ class Aggregator:
 
 def combine_locally(pairs: Iterable[KV], agg: Aggregator) -> Dict[Any, Any]:
     """Map-side combine: fold all values for each key into one combiner."""
+    merge_value, create_combiner = agg.merge_value, agg.create_combiner
     combined: Dict[Any, Any] = {}
     for key, value in pairs:
         if key in combined:
-            combined[key] = agg.merge_value(combined[key], value)
+            combined[key] = merge_value(combined[key], value)
         else:
-            combined[key] = agg.create_combiner(value)
+            combined[key] = create_combiner(value)
     return combined
 
 
@@ -63,11 +64,12 @@ def merge_combiners_iter(
     streams: Iterable[Iterable[KV]], agg: Aggregator
 ) -> Iterator[KV]:
     """Reduce-side merge of already-combined (key, combiner) streams."""
+    merge_combiners = agg.merge_combiners
     merged: Dict[Any, Any] = {}
     for stream in streams:
         for key, comb in stream:
             if key in merged:
-                merged[key] = agg.merge_combiners(merged[key], comb)
+                merged[key] = merge_combiners(merged[key], comb)
             else:
                 merged[key] = comb
     return iter(merged.items())
@@ -79,13 +81,14 @@ def reduce_values_iter(
     """Reduce-side aggregation of *raw* (key, value) streams — the path
     taken when map-side combining is disabled (the groupby configuration
     of Figure 6, as opposed to the reduceby configuration of Figure 8)."""
+    merge_value, create_combiner = agg.merge_value, agg.create_combiner
     merged: Dict[Any, Any] = {}
     for stream in streams:
         for key, value in stream:
             if key in merged:
-                merged[key] = agg.merge_value(merged[key], value)
+                merged[key] = merge_value(merged[key], value)
             else:
-                merged[key] = agg.create_combiner(value)
+                merged[key] = create_combiner(value)
     return iter(merged.items())
 
 

@@ -2,13 +2,25 @@
 
 from __future__ import annotations
 
+import enum
 import zlib
 from typing import Any
 
 
 def _stable_hash(key: Any) -> int:
-    """Deterministic hash across runs (Python's ``hash`` of str is salted
-    per process, which would break deterministic replay of shuffles)."""
+    """Hash that is the same in every process and every run.
+
+    Built-in ``hash`` is salted per process for ``str``/``bytes`` (and so
+    for ``Enum`` members and ``frozenset``s of strings) and, before Python
+    3.12, address-based for ``None``; a map task in one process and a
+    reducer in another would then disagree on a key's partition.  ``int``,
+    ``bool``, ``str``, ``bytes``, ``None``, ``Enum`` members, ``frozenset``s
+    and tuples of these are covered here.  Any other key type falls back to
+    ``hash(key)`` (``float`` is fine: its hash is numeric) and must have a
+    process-independent ``__hash__``.
+    """
+    if type(key) is str:
+        return zlib.crc32(key.encode("utf-8"))
     if isinstance(key, int):
         return key
     if isinstance(key, bytes):
@@ -20,6 +32,14 @@ def _stable_hash(key: Any) -> int:
         for part in key:
             h = (h * 31 + _stable_hash(part)) & 0x7FFFFFFF
         return h
+    if key is None:
+        return 0
+    if isinstance(key, enum.Enum):
+        # Members of int/str mixin enums took a branch above.
+        return _stable_hash(key.name)
+    if isinstance(key, frozenset):
+        # Sorted member hashes: independent of iteration order.
+        return _stable_hash(tuple(sorted(_stable_hash(part) for part in key)))
     return hash(key)
 
 

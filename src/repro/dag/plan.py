@@ -220,16 +220,18 @@ def _make_hash_map_output(
     partitioner = spec.partitioner
 
     def map_output(_partition: int, it: Iterator) -> Dict[int, List]:
+        partition = partitioner.partition
         buckets: Dict[int, List] = {r: [] for r in range(spec.num_reducers)}
         if combine and aggregator is not None:
-            by_bucket: Dict[int, List] = {}
-            for kv in it:
-                by_bucket.setdefault(partitioner.partition(kv[0]), []).append(kv)
-            for r, pairs in by_bucket.items():
-                buckets[r] = list(combine_locally(pairs, aggregator).items())
+            # Combine the whole partition, then route each distinct key
+            # once.  A key's bucket depends only on the key, so every
+            # bucket holds what combining it separately would give: keys
+            # in first-arrival order, values merged in arrival order.
+            for kv in combine_locally(it, aggregator).items():
+                buckets[partition(kv[0])].append(kv)
         else:
             for kv in it:
-                buckets[partitioner.partition(kv[0])].append(kv)
+                buckets[partition(kv[0])].append(kv)
         return buckets
 
     return map_output
@@ -263,8 +265,13 @@ def _make_cogroup_merge(mode: str) -> InputMerge:
             for k, v in stream:
                 right.setdefault(k, []).append(v)
         if mode == "cogroup":
-            for k in left.keys() | right.keys():
-                yield (k, (left.get(k, []), right.get(k, [])))
+            # Left keys in first-seen order, then right-only keys: a set
+            # union would order keys by the process's hash seed.
+            for k, lvs in left.items():
+                yield (k, (lvs, right.get(k, [])))
+            for k, rvs in right.items():
+                if k not in left:
+                    yield (k, ([], rvs))
             return
         for k, lvs in left.items():
             rvs = right.get(k)

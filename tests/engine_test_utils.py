@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from typing import Optional
 
 from repro.common.config import (
@@ -13,6 +16,8 @@ from repro.common.config import (
     TransportConf,
 )
 from repro.engine.cluster import LocalCluster
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 ALL_MODES = list(SchedulingMode)
 ALL_BACKENDS = list(EXECUTOR_BACKENDS)
@@ -45,3 +50,13 @@ def make_cluster(
     if transport is not None:
         conf.transport = TransportConf(backend=transport)
     return LocalCluster(conf)
+
+
+def run_under_hash_seed(script: str, seed: int) -> str:
+    """Run ``script`` in a fresh interpreter with ``PYTHONHASHSEED=seed``
+    and return its stdout: what differs between two seeds would differ
+    between two processes of one run."""
+    env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return done.stdout

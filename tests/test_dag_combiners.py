@@ -1,5 +1,7 @@
 """Tests for map-side combining (§3.5)."""
 
+import operator
+import pickle
 from collections import Counter
 
 import pytest
@@ -12,6 +14,8 @@ from repro.dag.combiners import (
     merge_combiners_iter,
     reduce_values_iter,
 )
+from repro.dag.partitioning import HashPartitioner
+from repro.dag.plan import ShuffleSpec, _make_hash_map_output
 
 pairs = st.lists(
     st.tuples(st.integers(0, 10), st.integers(-100, 100)), max_size=60
@@ -101,3 +105,69 @@ class TestCombiningShrinksShuffle:
     def test_shrink_example(self):
         data = [("k", 1)] * 1000
         assert len(combine_locally(data, sum_agg())) == 1
+
+
+class CountingPartitioner(HashPartitioner):
+    def __init__(self, num_partitions: int):
+        super().__init__(num_partitions)
+        self.calls = 0
+
+    def partition(self, key):
+        self.calls += 1
+        return super().partition(key)
+
+
+def list_agg() -> Aggregator:
+    return Aggregator.from_zero(list, lambda acc, v: acc + [v], operator.add)
+
+
+def map_output(partitioner, agg, combine, records):
+    spec = ShuffleSpec(shuffle_id=0, num_maps=1, partitioner=partitioner)
+    return _make_hash_map_output(spec, agg, combine)(0, iter(records))
+
+
+def partition_then_combine(partitioner, agg, records):
+    """The reference: route every record, then combine each bucket."""
+    by_bucket = {}
+    for kv in records:
+        by_bucket.setdefault(partitioner.partition(kv[0]), []).append(kv)
+    buckets = {r: [] for r in range(partitioner.num_partitions)}
+    for r, bucket_pairs in by_bucket.items():
+        buckets[r] = list(combine_locally(bucket_pairs, agg).items())
+    return buckets
+
+
+mixed_keys = st.one_of(
+    st.integers(-50, 50),
+    st.booleans(),
+    st.text(max_size=3),
+    st.binary(max_size=3),
+    st.floats(-4, 4, allow_nan=False, width=16),
+    st.tuples(st.integers(0, 5), st.text(max_size=2)),
+)
+mixed_pairs = st.lists(st.tuples(mixed_keys, st.integers(-100, 100)), max_size=80)
+
+
+class TestMapSideCombineContract:
+    """The map side combines first, then partitions each distinct key."""
+
+    def test_partitions_each_distinct_key_once(self):
+        records = [(f"k{i % 7}", i) for i in range(200)] + [((i % 3, "w"), 1) for i in range(50)]
+        partitioner = CountingPartitioner(4)
+        map_output(partitioner, sum_agg(), True, records)
+        assert partitioner.calls == len({k for k, _ in records})
+
+    def test_without_combining_every_record_is_routed(self):
+        records = [(f"k{i % 7}", i) for i in range(200)]
+        partitioner = CountingPartitioner(4)
+        buckets = map_output(partitioner, sum_agg(), False, records)
+        assert partitioner.calls == len(records)
+        assert sum(len(b) for b in buckets.values()) == len(records)
+
+    @pytest.mark.parametrize("make_agg", [sum_agg, list_agg], ids=["from_reduce", "from_zero"])
+    @given(data=mixed_pairs, reducers=st.integers(1, 6))
+    def test_buckets_equal_partition_then_combine(self, make_agg, data, reducers):
+        partitioner = HashPartitioner(reducers)
+        agg = make_agg()
+        got = map_output(partitioner, agg, True, data)
+        assert pickle.dumps(got) == pickle.dumps(partition_then_combine(partitioner, agg, data))

@@ -8,7 +8,23 @@ from repro.common.errors import PlanError
 from repro.dag.dataset import CoGroupDataset, from_partitions, parallelize
 from repro.dag.partitioning import HashPartitioner
 
-from engine_test_utils import ALL_MODES, make_cluster
+from engine_test_utils import ALL_MODES, make_cluster, run_under_hash_seed
+
+_COGROUP_SCRIPT = """
+from repro.common.config import EngineConf, SchedulingMode
+from repro.dag.dataset import from_partitions
+from repro.engine.cluster import LocalCluster
+
+left = from_partitions([[("k%d" % i, i) for i in range(0, 40, 3)],
+                        [("k%d" % i, -i) for i in range(0, 40, 5)]])
+right = from_partitions([[("k%d" % i, i) for i in range(0, 40, 2)],
+                         [("r%d" % i, i) for i in range(9)]])
+conf = EngineConf(num_workers=2, slots_per_worker=2,
+                  scheduling_mode=SchedulingMode.DRIZZLE)
+with LocalCluster(conf) as cluster:
+    print(repr(cluster.collect(left.cogroup(right, 2))))
+"""
+
 
 kv_lists = st.lists(
     st.tuples(st.sampled_from(["a", "b", "c", "d"]), st.integers(-20, 20)),
@@ -68,6 +84,19 @@ class TestCoGroup:
                 "b": ([2], [10]),
                 "c": ([], [20]),
             }
+
+    def test_cogroup_order_is_independent_of_hash_seed(self):
+        # Compared unsorted: key order must not follow the hash seed.
+        first = run_under_hash_seed(_COGROUP_SCRIPT, 1)
+        assert first.startswith("[")
+        assert first == run_under_hash_seed(_COGROUP_SCRIPT, 2)
+
+    def test_cogroup_yields_left_keys_then_right_only_keys(self):
+        with make_cluster(SchedulingMode.DRIZZLE) as cluster:
+            left = from_partitions([[("z", 1), ("a", 2), ("m", 3)]])
+            right = from_partitions([[("q", 9), ("a", 8), ("b", 7)]])
+            out = cluster.collect(left.cogroup(right, 1))
+        assert [k for k, _ in out] == ["z", "a", "m", "q", "b"]
 
     def test_left_join(self):
         with make_cluster(SchedulingMode.DRIZZLE) as cluster:
