@@ -17,7 +17,6 @@ Old deep import (still works)                  Stable top-level name
 ``repro.common.config.SchedulingMode``         ``repro.SchedulingMode``
 ``repro.common.config.ExecutorConf``           ``repro.ExecutorConf``
 ``repro.common.config.TransportConf``          ``repro.TransportConf``
-``repro.common.config.DataPlaneConf``          ``repro.DataPlaneConf``
 ``repro.common.config.TelemetryConf``          ``repro.TelemetryConf``
 ``repro.common.config.ChaosConf``              ``repro.ChaosConf``
 ``repro.common.config.ElasticConf``            ``repro.ElasticConf``
@@ -54,7 +53,6 @@ __version__ = "1.0.0"
 
 from repro.common.config import (
     ChaosConf,
-    DataPlaneConf,
     ElasticConf,
     EngineConf,
     ExecutorConf,
@@ -77,7 +75,6 @@ _LAZY_EXPORTS = {
 
 __all__ = [
     "ChaosConf",
-    "DataPlaneConf",
     "ElasticConf",
     "EngineConf",
     "ExecutorConf",

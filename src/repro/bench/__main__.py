@@ -221,11 +221,10 @@ def _transport() -> str:
     return render_table(
         ["transport", "group_size", "ms_per_batch", "rpc_messages",
          "bytes_sent", "bytes_received", "fetch_batches", "buckets/fetch",
-         "saved_bytes", "rpc_p50_ms", "rpc_p95_ms"],
+         "rpc_p50_ms", "rpc_p95_ms"],
         [[r["transport"], r["group_size"], r["ms_per_batch"], r["rpc_messages"],
           r["bytes_sent"], r["bytes_received"], r["fetch_batches"],
-          r["buckets_per_fetch"], r["bytes_saved_compression"],
-          r["rpc_p50_ms"], r["rpc_p95_ms"]]
+          r["buckets_per_fetch"], r["rpc_p50_ms"], r["rpc_p95_ms"]]
          for r in rows],
         title="Transport backends — real sockets vs in-process calls on the "
               "engine (group scheduling amortizes the wire cost, §3.1; "

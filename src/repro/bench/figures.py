@@ -543,7 +543,6 @@ def transport_coordination(
     from repro.common.metrics import (
         COUNT_LAUNCH_RPCS,
         COUNT_NET_BYTES_RECEIVED,
-        COUNT_NET_BYTES_SAVED_COMPRESSION,
         COUNT_NET_BYTES_SENT,
         COUNT_NET_CONNECTIONS,
         COUNT_NET_FETCH_BATCHES,
@@ -617,17 +616,13 @@ def transport_coordination(
             "rpc_p50_ms": percentile(latencies, 50) * 1e3 if latencies else 0.0,
             "rpc_p95_ms": percentile(latencies, 95) * 1e3 if latencies else 0.0,
             # Data-plane fast path: batched pulls, stage-blob
-            # cache traffic, compression savings.
+            # cache traffic.
             "fetch_batches": fetch_batches,
             "buckets_per_fetch": (
                 sum(batch_sizes) / len(batch_sizes) if batch_sizes else 0.0
             ),
-            "bytes_saved_compression": counters.get(
-                COUNT_NET_BYTES_SAVED_COMPRESSION, 0.0
-            ),
             "stage_cache_hits": counters.get(COUNT_STAGE_CACHE_HIT, 0.0),
             "stage_cache_misses": counters.get(COUNT_STAGE_CACHE_MISS, 0.0),
-            "compression": conf.transport.data_plane.compression,
             # Driver-side launch bytes only.
             "launch_bytes_sent": launch_bytes,
             "launch_bytes_per_group": launch_bytes / groups if groups else 0.0,

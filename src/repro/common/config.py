@@ -161,8 +161,6 @@ class ExecutorConf:
 
 TRANSPORT_BACKENDS = ("inproc", "tcp")
 
-COMPRESSION_MODES = ("off", "auto", "on")
-
 
 def _default_transport_backend() -> str:
     # CI matrices force a transport for a whole pytest run via the
@@ -170,41 +168,8 @@ def _default_transport_backend() -> str:
     return os.environ.get("REPRO_TRANSPORT", "inproc")
 
 
-def _default_compression() -> str:
-    # CI forces the compressed wire format for a whole pytest run the same
-    # way it forces the transport backend.
-    return os.environ.get("REPRO_NET_COMPRESSION", "auto")
-
-
 def _env_flag(name: str) -> bool:
     return os.environ.get(name, "").strip().lower() in ("1", "true", "on", "yes")
-
-
-@dataclass
-class DataPlaneConf:
-    """Wire-level data-plane knobs (see "Data plane" in
-    ``docs/networking.md``).
-
-    These govern per-frame payload compression on the tcp transport.
-    (The launch path's stage-blob cache has a fixed size; see
-    ``repro.net.stageblobs``.)
-    """
-
-    # "off" never compresses; "auto" compresses payloads at or above
-    # compress_threshold_bytes (and keeps the result only if smaller);
-    # "on" tries every payload — CI uses it to exercise the compressed
-    # frames on small test traffic.
-    compression: str = field(default_factory=_default_compression)
-    compress_threshold_bytes: int = 4096
-
-    def validate(self) -> None:
-        if self.compression not in COMPRESSION_MODES:
-            raise ConfigError(
-                f"compression must be one of {COMPRESSION_MODES}, "
-                f"got {self.compression!r}"
-            )
-        if self.compress_threshold_bytes < 0:
-            raise ConfigError("compress_threshold_bytes must be >= 0")
 
 
 @dataclass
@@ -231,8 +196,6 @@ class TransportConf:
     # End-to-end budget for one request/response round trip; a peer that
     # accepts but never answers surfaces as WorkerLost, not a hang.
     call_timeout_s: float = 30.0
-    # Bulk-payload fast path: frame compression.
-    data_plane: DataPlaneConf = field(default_factory=DataPlaneConf)
 
     def validate(self) -> None:
         if self.backend not in TRANSPORT_BACKENDS:
@@ -250,7 +213,6 @@ class TransportConf:
             raise ConfigError("max_retries must be >= 0")
         if self.retry_backoff_s < 0:
             raise ConfigError("retry_backoff_s must be >= 0")
-        self.data_plane.validate()
 
 
 def _default_telemetry_enabled() -> bool:

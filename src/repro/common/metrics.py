@@ -303,10 +303,10 @@ HIST_NET_CALL_LATENCY = "net.call_latency"
 COUNT_NET_FRAMES_SENT = "net.frames_sent"
 HIST_NET_MESSAGES_PER_FRAME = "net.messages_per_frame"
 # Data-plane fast path (see "Data plane" in docs/networking.md): batched
-# shuffle pulls, payload bytes compression kept off the wire, and the
-# content-addressed stage-blob cache on the launch path.  A cache "hit"
-# is a launch that shipped only digest tokens to a worker; a "miss"
-# attached the serialized stage blob (first ship or stage_miss reship).
+# shuffle pulls and the content-addressed stage-blob cache on the launch
+# path.  A cache "hit" is a launch that shipped only digest tokens to a
+# worker; a "miss" attached the serialized stage blob (first ship or
+# stage_miss reship).
 COUNT_NET_FETCH_BATCHES = "net.fetch_batches"
 # Dials to an address the pool had already connected to before — i.e.
 # re-dials after an invalidation, idle-pool exhaustion, or a peer crash.
@@ -314,7 +314,6 @@ COUNT_NET_FETCH_BATCHES = "net.fetch_batches"
 # after a server kill does not synchronize.
 COUNT_NET_REDIALS = "net.redials"
 HIST_NET_BUCKETS_PER_FETCH = "net.buckets_per_fetch"
-COUNT_NET_BYTES_SAVED_COMPRESSION = "net.bytes_saved_compression"
 COUNT_STAGE_CACHE_HIT = "serde.stage_cache_hit"
 COUNT_STAGE_CACHE_MISS = "serde.stage_cache_miss"
 # net.launch_bytes_sent isolates driver launch-path wire bytes from the

@@ -1,28 +1,23 @@
 """Length-prefixed binary framing for the tcp transport.
 
-Every message on a :mod:`repro.net` socket is one *frame*.  Two header
-layouts share the magic/version/kind prefix and are negotiated
-**per frame** — a sender only emits the extended layout when it has a
-flag to set, so peers that never compress interoperate bit-for-bit with
-the original protocol within the same run:
+Every message on a :mod:`repro.net` socket is one *frame* with one
+header layout:
 
 ====== ====== ===========================================================
 offset size   field
 ====== ====== ===========================================================
 0      2      magic ``b"RN"``
-2      1      protocol version: 1 = base frame, 2 = flagged frame
+2      1      protocol version (1)
 3      1      frame kind: 1 = request, 2 = response, 3 = one-way messages
-4      1      flags byte (version 2 only; bit 0 = zlib payload)
-...    4      payload length on the wire, unsigned big-endian
-...    n      payload (closure-pickled, :mod:`repro.dag.serde`)
+4      4      payload length, unsigned big-endian
+8      n      payload (closure-pickled, :mod:`repro.dag.serde`)
 ====== ====== ===========================================================
 
 The header is versioned so a wire change is detected instead of
 misparsed; a magic/version mismatch raises :class:`FrameError`
 immediately rather than desynchronizing the stream.  Payload size is
 bounded (1 GiB) purely as a corruption guard — a garbled length field
-otherwise reads as a multi-terabyte allocation.  The same bound applies
-after decompression, so a hostile/corrupt zlib stream cannot balloon.
+otherwise reads as a multi-terabyte allocation.
 
 A kind-3 frame carries *several* one-way messages (see
 :meth:`repro.engine.rpc.BaseTransport.post`): its payload is each
@@ -32,42 +27,28 @@ dispatches them in order and answers the whole frame with one response.
 
 Sockets that carry many frames are read through a :class:`FramedSocket`,
 which keeps one reusable buffer per connection so a small frame costs one
-``recv`` instead of three.
+``recv`` instead of two.
 """
 
 from __future__ import annotations
 
 import socket
 import struct
-import zlib
 from typing import List, Sequence, Tuple
 
 from repro.common.errors import ReproError
 
 MAGIC = b"RN"
-VERSION = 1  # base header: no flags byte
-VERSION_FLAGS = 2  # extended header: one flags byte before the length
+VERSION = 1
 KIND_REQUEST = 1
 KIND_RESPONSE = 2
 KIND_POST = 3  # several one-way messages, acknowledged by one response
 _KNOWN_KINDS = (KIND_REQUEST, KIND_RESPONSE, KIND_POST)
 
-# Base (version 1) header — also the layout tests and docs refer to.
 HEADER = struct.Struct(">2sBBI")
 HEADER_SIZE = HEADER.size  # 8 bytes
-# Extended (version 2) header: magic, version, kind, flags, length.
-HEADER_FLAGS = struct.Struct(">2sBBBI")
-HEADER_FLAGS_SIZE = HEADER_FLAGS.size  # 9 bytes
-# Shared prefix of both layouts, read first to pick the tail format.
-_PREFIX = struct.Struct(">2sBB")
-_TAIL_V1 = struct.Struct(">I")
-_TAIL_V2 = struct.Struct(">BI")
 # Length prefix of each message inside a KIND_POST payload.
 _MESSAGE_LEN = struct.Struct(">I")
-
-# Flags byte bits (version-2 frames only).
-FLAG_ZLIB = 0x01
-_KNOWN_FLAGS = FLAG_ZLIB
 
 MAX_PAYLOAD = 1 << 30
 
@@ -75,10 +56,6 @@ MAX_PAYLOAD = 1 << 30
 # message, most launches and small fetch replies) arrive in one recv; a
 # larger payload is read straight into its own buffer instead.
 READ_BUFFER_SIZE = 16 * 1024
-
-# zlib level 1: the payloads are pickles crossing loopback — cheap and
-# fast beats maximal ratio on this path.
-_ZLIB_LEVEL = 1
 
 
 class FrameError(ReproError):
@@ -90,41 +67,11 @@ class ConnectionClosed(ReproError):
     mid-frame."""
 
 
-def encode_frame(kind: int, payload: bytes, flags: int = 0) -> bytes:
-    """Build one wire frame: versioned header + payload.
-
-    With ``flags == 0`` the frame is byte-identical to the version-1
-    protocol; any set flag switches to the version-2 header.
-    """
+def encode_frame(kind: int, payload: bytes) -> bytes:
+    """Build one wire frame: versioned header + payload."""
     if len(payload) > MAX_PAYLOAD:
         raise FrameError(f"payload of {len(payload)} bytes exceeds frame limit")
-    if flags & ~_KNOWN_FLAGS:
-        raise FrameError(f"unknown frame flags 0x{flags:02x}")
-    if flags:
-        return HEADER_FLAGS.pack(MAGIC, VERSION_FLAGS, kind, flags, len(payload)) + payload
     return HEADER.pack(MAGIC, VERSION, kind, len(payload)) + payload
-
-
-def compress_payload(
-    payload: bytes, mode: str = "off", threshold: int = 4096
-) -> Tuple[bytes, int, int]:
-    """Maybe zlib-compress a payload before framing.
-
-    Returns ``(wire_payload, flags, bytes_saved)``.  ``mode`` follows
-    :class:`~repro.common.config.DataPlaneConf.compression`: ``"off"``
-    never compresses, ``"auto"`` compresses payloads of at least
-    ``threshold`` bytes, ``"on"`` tries every payload.  Compression is
-    kept only when it actually shrinks the payload, so the flag on the
-    wire always means the receiver must inflate.
-    """
-    if mode == "off" or not payload:
-        return payload, 0, 0
-    if mode == "auto" and len(payload) < threshold:
-        return payload, 0, 0
-    packed = zlib.compress(payload, _ZLIB_LEVEL)
-    if len(packed) >= len(payload):
-        return payload, 0, 0
-    return packed, FLAG_ZLIB, len(payload) - len(packed)
 
 
 def encode_messages(payloads: Sequence[bytes]) -> bytes:
@@ -163,11 +110,11 @@ class FramedSocket:
     frame, so reading a small frame is one ``recv_into`` with no
     per-frame allocation beyond the payload it returns.  Bytes read past
     the current frame (several frames sent back to back) stay buffered
-    for the next :meth:`read_frame_ex`.
+    for the next :meth:`read_frame`.
 
     ``readahead=False`` never reads past the frame being parsed — for a
     one-shot read from a socket whose later bytes belong to someone else
-    (the module-level :func:`read_frame_ex`).
+    (the module-level :func:`read_frame`).
     """
 
     def __init__(
@@ -177,7 +124,7 @@ class FramedSocket:
         readahead: bool = True,
     ):
         self.sock = sock
-        self._buf = bytearray(max(bufsize, HEADER_FLAGS_SIZE))
+        self._buf = bytearray(max(bufsize, HEADER_SIZE))
         self._view = memoryview(self._buf)
         self._start = 0  # first unconsumed byte
         self._end = 0  # one past the last buffered byte
@@ -222,12 +169,12 @@ class FramedSocket:
             self._end += got
             have += got
 
-    def _read_large(self, skip: int, length: int) -> bytes:
+    def _read_large(self, length: int) -> bytes:
         """A payload that does not fit the buffer: take what is already
-        buffered after ``skip`` header bytes, read the rest directly."""
+        buffered after the header, read the rest directly."""
         payload = bytearray(length)
-        have = min(self._end - self._start - skip, length)
-        begin = self._start + skip
+        have = min(self._end - self._start - HEADER_SIZE, length)
+        begin = self._start + HEADER_SIZE
         payload[:have] = self._buf[begin : begin + have]
         self._start = self._end = 0
         view = memoryview(payload)
@@ -240,69 +187,36 @@ class FramedSocket:
             have += got
         return bytes(payload)
 
-    def read_frame_ex(self) -> Tuple[int, bytes, int, int]:
-        """Read one complete frame; returns ``(kind, payload, flags,
-        wire_payload_len)``.
+    def read_frame(self) -> Tuple[int, bytes]:
+        """Read one complete frame; returns ``(kind, payload)``.
 
-        ``payload`` is the logical (decompressed) payload;
-        ``wire_payload_len`` is what actually crossed the socket, for the
-        byte counters.  Raises :class:`ConnectionClosed` on EOF and
-        :class:`FrameError` on a header that is not ours (wrong magic,
-        unknown version/flags, absurd size).
+        Raises :class:`ConnectionClosed` on EOF and :class:`FrameError`
+        on a header that is not ours (wrong magic, unknown version or
+        kind, absurd size).
         """
-        self._fill(_PREFIX.size)
-        magic, version, kind = _PREFIX.unpack_from(self._buf, self._start)
+        self._fill(HEADER_SIZE)
+        magic, version, kind, length = HEADER.unpack_from(self._buf, self._start)
         if magic != MAGIC:
             raise FrameError(f"bad magic {magic!r} (expected {MAGIC!r})")
-        if version == VERSION:
-            tail = _TAIL_V1
-        elif version == VERSION_FLAGS:
-            tail = _TAIL_V2
-        else:
+        if version != VERSION:
             raise FrameError(f"unsupported frame version {version}")
-        header_size = _PREFIX.size + tail.size
-        self._fill(header_size)
-        fields = tail.unpack_from(self._buf, self._start + _PREFIX.size)
-        flags, length = fields if version == VERSION_FLAGS else (0, fields[0])
         if kind not in _KNOWN_KINDS:
             raise FrameError(f"unknown frame kind {kind}")
-        if flags & ~_KNOWN_FLAGS:
-            raise FrameError(f"unknown frame flags 0x{flags:02x}")
         if length > MAX_PAYLOAD:
             raise FrameError(f"frame length {length} exceeds limit")
-        total = header_size + length
+        total = HEADER_SIZE + length
         if total <= len(self._buf):
             self._fill(total)
-            payload = bytes(self._view[self._start + header_size : self._start + total])
+            payload = bytes(self._view[self._start + HEADER_SIZE : self._start + total])
             self._start += total
         else:
-            payload = self._read_large(header_size, length)
-        if flags & FLAG_ZLIB:
-            try:
-                payload = zlib.decompress(payload)
-            except zlib.error as err:
-                raise FrameError(f"corrupt compressed payload: {err}") from err
-            if len(payload) > MAX_PAYLOAD:
-                raise FrameError(
-                    f"decompressed payload of {len(payload)} bytes exceeds frame limit"
-                )
-        return kind, payload, flags, length
-
-
-def read_frame_ex(sock) -> Tuple[int, bytes, int, int]:
-    """Read one frame from a :class:`FramedSocket`, or from a bare socket
-    without consuming a byte past the frame; returns ``(kind, payload,
-    flags, wire_payload_len)`` as :meth:`FramedSocket.read_frame_ex`."""
-    if not isinstance(sock, FramedSocket):
-        sock = FramedSocket(sock, bufsize=HEADER_FLAGS_SIZE, readahead=False)
-    return sock.read_frame_ex()
+            payload = self._read_large(length)
+        return kind, payload
 
 
 def read_frame(sock) -> Tuple[int, bytes]:
-    """Read one complete frame; returns ``(kind, payload)``.
-
-    Compressed frames are inflated transparently; callers that need the
-    flags or on-the-wire size use :func:`read_frame_ex`.
-    """
-    kind, payload, _flags, _wire_len = read_frame_ex(sock)
-    return kind, payload
+    """Read one frame from a :class:`FramedSocket`, or from a bare socket
+    without consuming a byte past the frame; returns ``(kind, payload)``."""
+    if not isinstance(sock, FramedSocket):
+        sock = FramedSocket(sock, bufsize=HEADER_SIZE, readahead=False)
+    return sock.read_frame()

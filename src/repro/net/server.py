@@ -29,18 +29,17 @@ from repro.chaos.injector import chaos_hit
 from repro.chaos.plan import KIND_SERVER_KILL, SITE_NET_SERVE
 from repro.common.metrics import (
     COUNT_NET_BYTES_RECEIVED,
-    COUNT_NET_BYTES_SAVED_COMPRESSION,
     COUNT_NET_BYTES_SENT,
     MetricsRegistry,
 )
 from repro.net.framing import (
+    HEADER_SIZE,
     KIND_POST,
     KIND_REQUEST,
     KIND_RESPONSE,
     ConnectionClosed,
     FramedSocket,
     FrameError,
-    compress_payload,
     decode_messages,
     encode_frame,
 )
@@ -64,15 +63,11 @@ class MessageServer:
         metrics: MetricsRegistry,
         host: str = "127.0.0.1",
         name: str = "net",
-        compression: str = "off",
-        compress_threshold: int = 4096,
         post_handler: Optional[Callable[[List[bytes]], bytes]] = None,
     ):
         self._handler = handler
         self._post_handler = post_handler
         self.metrics = metrics
-        self._compression = compression
-        self._compress_threshold = compress_threshold
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, 0))
@@ -121,7 +116,7 @@ class MessageServer:
         try:
             while True:
                 try:
-                    kind, payload, _flags, wire_len = framed.read_frame_ex()
+                    kind, payload = framed.read_frame()
                     if kind == KIND_REQUEST:
                         handle, request = self._handler, payload
                     elif kind == KIND_POST and self._post_handler is not None:
@@ -130,8 +125,10 @@ class MessageServer:
                         return  # protocol violation; drop the connection
                 except (ConnectionClosed, FrameError, OSError):
                     return
-                # Byte counters are wire truth: the compressed size.
-                self.metrics.counter(COUNT_NET_BYTES_RECEIVED).add(wire_len)
+                # Byte counters are wire truth: header plus payload.
+                self.metrics.counter(COUNT_NET_BYTES_RECEIVED).add(
+                    HEADER_SIZE + len(payload)
+                )
                 if self._name != "driver":
                     # The driver's server is exempt: killing it ends the
                     # run rather than exercising §3.3 recovery.
@@ -143,15 +140,7 @@ class MessageServer:
                         # KIND_RESPONSE_DROP: the handler never runs, the
                         # caller sees its connection reset mid-exchange.
                         return
-                response = handle(request)
-                wire, flags, saved = compress_payload(
-                    response, self._compression, self._compress_threshold
-                )
-                if saved:
-                    self.metrics.counter(
-                        COUNT_NET_BYTES_SAVED_COMPRESSION
-                    ).add(saved)
-                frame = encode_frame(KIND_RESPONSE, wire, flags)
+                frame = encode_frame(KIND_RESPONSE, handle(request))
                 try:
                     conn.sendall(frame)
                 except OSError:

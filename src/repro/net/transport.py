@@ -66,7 +66,6 @@ from repro.common.config import TransportConf
 from repro.common.errors import SerializationError, WorkerLost
 from repro.common.metrics import (
     COUNT_NET_BYTES_RECEIVED,
-    COUNT_NET_BYTES_SAVED_COMPRESSION,
     COUNT_NET_BYTES_SENT,
     COUNT_NET_FRAMES_SENT,
     COUNT_NET_LAUNCH_BYTES_SENT,
@@ -78,12 +77,12 @@ from repro.common.metrics import (
 from repro.dag.serde import dumps_closure, loads_closure
 from repro.engine.rpc import LAUNCH_TASKS, BaseTransport, Envelope
 from repro.net.framing import (
+    HEADER_SIZE,
     KIND_POST,
     KIND_REQUEST,
     KIND_RESPONSE,
     ConnectionClosed,
     FrameError,
-    compress_payload,
     encode_frame,
     encode_messages,
 )
@@ -295,17 +294,12 @@ class TcpTransport(BaseTransport):
             max_retries=self.conf.max_retries,
             retry_backoff_s=self.conf.retry_backoff_s,
         )
-        dp = self.conf.data_plane
-        self._compression = dp.compression
-        self._compress_threshold = dp.compress_threshold_bytes
         self._stage_sender = StageBlobSender(self.metrics)
         self._stage_receiver = StageBlobReceiver()
         self.server = MessageServer(
             self._handle_raw,
             self.metrics,
             name=name,
-            compression=self._compression,
-            compress_threshold=self._compress_threshold,
             post_handler=self._handle_posts,
         )
 
@@ -740,13 +734,8 @@ class TcpTransport(BaseTransport):
         return status, value, len(frame)
 
     def _frame(self, kind: int, payload: bytes, dst: str, methods: Sequence[str]) -> bytes:
-        """Compress and frame one outgoing payload carrying ``methods``."""
-        wire, flags, saved = compress_payload(
-            payload, self._compression, self._compress_threshold
-        )
-        if saved:
-            self.metrics.counter(COUNT_NET_BYTES_SAVED_COMPRESSION).add(saved)
-        frame = encode_frame(kind, wire, flags)
+        """Frame one outgoing payload carrying ``methods``."""
+        frame = encode_frame(kind, payload)
         if all(m in _CHAOS_DROP_SAFE for m in methods) and (
             chaos_hit(SITE_NET_FRAME, target=dst, method=methods[0]) is not None
         ):
@@ -766,7 +755,7 @@ class TcpTransport(BaseTransport):
                 sock.sendall(frame)
                 self.metrics.counter(COUNT_NET_BYTES_SENT).add(len(frame))
                 self.metrics.counter(COUNT_NET_FRAMES_SENT).add(1)
-                kind, response, _flags, wire_len = sock.read_frame_ex()
+                kind, response = sock.read_frame()
         except ConnectFailed as err:
             # Nothing is listening there: either the peer is gone or the
             # address is stale.  _deliver() decides — it may retry once at
@@ -777,8 +766,8 @@ class TcpTransport(BaseTransport):
             raise WorkerLost(dst, f"connection lost during {what}: {err}") from err
         if kind != KIND_RESPONSE:
             raise WorkerLost(dst, f"protocol violation: frame kind {kind}")
-        # Byte counters are wire truth: the compressed size.
-        self.metrics.counter(COUNT_NET_BYTES_RECEIVED).add(wire_len)
+        # Byte counters are wire truth: header plus payload.
+        self.metrics.counter(COUNT_NET_BYTES_RECEIVED).add(HEADER_SIZE + len(response))
         return response
 
     # ------------------------------------------------------------------

@@ -31,7 +31,6 @@ from repro.common.metrics import (
     COUNT_HA_WAL_SNAPSHOTS,
     COUNT_LAUNCH_RPCS,
     COUNT_NET_BYTES_RECEIVED,
-    COUNT_NET_BYTES_SAVED_COMPRESSION,
     COUNT_NET_BYTES_SENT,
     COUNT_NET_CONNECT_RETRIES,
     COUNT_NET_CONNECTIONS,
@@ -155,7 +154,6 @@ METRIC_NAMES = frozenset(
         COUNT_NET_REDIALS,
         COUNT_NET_RECONNECTS,
         HIST_NET_BUCKETS_PER_FETCH,
-        COUNT_NET_BYTES_SAVED_COMPRESSION,
         COUNT_STAGE_CACHE_HIT,
         COUNT_STAGE_CACHE_MISS,
         COUNT_NET_LAUNCH_BYTES_SENT,

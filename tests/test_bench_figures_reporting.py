@@ -132,7 +132,8 @@ class TestBenchEnvironmentAndBaseline:
         env = bench_environment()
         assert set(env) >= {"cpu_count", "platform", "python", "git_sha", "transport"}
         assert env["cpu_count"] >= 1
-        assert env["transport"]["data_plane"]["compress_threshold_bytes"] >= 0
+        assert env["transport"]["call_timeout_s"] > 0
+        assert "data_plane" not in env["transport"]
 
     def test_write_bench_json_embeds_environment(self, tmp_path):
         import json

@@ -27,7 +27,6 @@ from repro.chaos.plan import (
     FaultPlan,
 )
 from repro.common.config import (
-    DataPlaneConf,
     EngineConf,
     MonitorConf,
     SchedulingMode,
@@ -101,9 +100,9 @@ class TestBlockDeleteRecovery:
             assert out == expected_wordcount()
             assert cluster.metrics.counter("chaos.block_delete").value == 1
 
-    def test_batched_fetch_failure_with_compression_on(self):
-        # The partial-failure path of the *batched* fetch_buckets reply,
-        # with compressed frames: one bucket in the batch is gone, the
+    def test_batched_fetch_failure_over_tcp(self):
+        # The partial-failure path of the *batched* fetch_buckets reply
+        # over real sockets: one bucket in the batch is gone, the
         # reducer must surface FetchFailed for exactly that map output and
         # recovery must still converge to the exact result.
         conf = make_conf(
@@ -111,9 +110,6 @@ class TestBlockDeleteRecovery:
                 backend="tcp",
                 connect_timeout_s=0.5,
                 call_timeout_s=5.0,
-                data_plane=DataPlaneConf(
-                    compression="on", compress_threshold_bytes=16
-                ),
             ),
         )
         with LocalCluster(conf) as cluster:

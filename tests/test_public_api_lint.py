@@ -1,7 +1,6 @@
 """Lint + behaviour for the top-level API (``repro``) and the config
-surface: the canonical names resolve to the deep objects, spellings that
-earlier releases deprecated are gone for good, and the data plane has
-exactly the knobs it documents.
+surface: the canonical names resolve to the deep objects, and spellings
+that earlier releases deprecated or removed are gone for good.
 """
 
 import pathlib
@@ -10,7 +9,7 @@ from dataclasses import fields
 import pytest
 
 import repro
-from repro.common.config import DataPlaneConf, EngineConf
+from repro.common.config import EngineConf
 from repro.common.errors import ConfigError
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -22,14 +21,14 @@ def test_top_level_all_resolves():
 
 
 def test_canonical_names_are_the_deep_objects():
-    from repro.common.config import DataPlaneConf, EngineConf
+    from repro.common.config import EngineConf, TransportConf
     from repro.engine.cluster import LocalCluster
     from repro.streaming.context import StreamingContext
 
     assert repro.LocalCluster is LocalCluster
     assert repro.StreamingContext is StreamingContext
     assert repro.EngineConf is EngineConf
-    assert repro.DataPlaneConf is DataPlaneConf
+    assert repro.TransportConf is TransportConf
 
 
 def test_removed_spellings_fail_loudly():
@@ -55,28 +54,9 @@ def test_docstring_documents_the_migration():
         "repro.engine.cluster.LocalCluster",
         "repro.common.config.EngineConf",
         "repro.streaming.context.StreamingContext",
-        "repro.common.config.DataPlaneConf",
+        "repro.common.config.TransportConf",
     ):
         assert old_path in doc, f"migration table must mention {old_path}"
-
-
-def test_data_plane_conf_has_exactly_the_documented_knobs():
-    assert {f.name for f in fields(DataPlaneConf)} == {
-        "compression",
-        "compress_threshold_bytes",
-    }
-    # Outside input naming a removed knob is rejected with the valid keys
-    # listed, not ignored.  (The names are split so a repo-wide grep for
-    # them stays empty.)
-    for removed_knob, value in (
-        ("record" "_blocks", True),
-        ("stage_blob" "_cache_entries", 64),
-        ("max_concurrent" "_fetches", 8),
-    ):
-        with pytest.raises(ConfigError, match="compress_threshold_bytes"):
-            EngineConf.from_dict(
-                {"transport": {"data_plane": {removed_knob: value}}}
-            )
 
 
 def test_engine_conf_has_no_templates_section():
@@ -110,6 +90,14 @@ def test_removed_data_plane_names_appear_nowhere():
         "Migration" "Executor",
         "ShardedState" "Store",
         "migration" ".shards_moved",
+        # Frame compression and its flagged v2 header.
+        "DataPlane" "Conf",
+        "REPRO_NET" "_COMPRESSION",
+        "compress" "_payload",
+        "FLAG" "_ZLIB",
+        "VERSION" "_FLAGS",
+        "HEADER" "_FLAGS",
+        "bytes_saved" "_compression",
     )
     files = [REPO_ROOT / "README.md"]
     for top in ("src", "docs", ".github"):
