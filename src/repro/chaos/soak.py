@@ -92,9 +92,7 @@ def _make_conf(settings: SoakSettings, chaos: Optional[ChaosConf]) -> EngineConf
         ),
         executor=ExecutorConf(backend=settings.executor),
         stage_timeout_s=settings.stage_timeout_s,
-        # Explicit, even for baselines: REPRO_CHAOS_* in the environment
-        # must never arm the fault-free reference run.
-        chaos=chaos or ChaosConf(enabled=False),
+        chaos=chaos or ChaosConf(),
     )
 
 
@@ -351,7 +349,6 @@ def run_soak(
             seed=seed,
             profile=settings.profile,
             intensity=settings.intensity,
-            max_worker_kills=1,
         )
         started = time.monotonic()
         got: Any = None

@@ -25,14 +25,14 @@ class SchedulingMode(Enum):
       intra-batch barrier is removed but batches are still scheduled one
       at a time (the "Only Pre-Scheduling" line of Figure 5(b)).
     * ``DRIZZLE`` — group scheduling + pre-scheduling (§3.1, §3.2).
-    * ``PIPELINED`` — the §3.6 design alternative: scheduling of batch
-      *i+1* overlaps execution of batch *i*; cost max(t_exec, t_sched).
+
+    The §3.6 pipelined-scheduling alternative is modeled analytically by
+    the simulator (:mod:`repro.sim.microbench`), not run by the engine.
     """
 
     PER_BATCH = "per_batch"
     PRE_SCHEDULED = "pre_scheduled"
     DRIZZLE = "drizzle"
-    PIPELINED = "pipelined"
 
 
 @dataclass
@@ -43,7 +43,6 @@ class TunerConf:
     overhead_lower_bound: float = 0.05
     overhead_upper_bound: float = 0.20
     increase_factor: float = 2.0
-    decrease_step: int = 2
     min_group_size: int = 1
     max_group_size: int = 1000
     ewma_alpha: float = 0.5
@@ -56,8 +55,6 @@ class TunerConf:
             )
         if self.increase_factor <= 1.0:
             raise ConfigError("increase_factor must be > 1")
-        if self.decrease_step < 1:
-            raise ConfigError("decrease_step must be >= 1")
         if not 1 <= self.min_group_size <= self.max_group_size:
             raise ConfigError(
                 f"need 1 <= min_group_size <= max_group_size, got "
@@ -142,20 +139,12 @@ class ExecutorConf:
     """
 
     backend: str = field(default_factory=_default_backend)
-    # Start method for the process backend; "spawn" is the only one that
-    # is safe with the engine's own threads in the parent.
-    start_method: str = "spawn"
 
     def validate(self) -> None:
         if self.backend not in EXECUTOR_BACKENDS:
             raise ConfigError(
                 f"executor backend must be one of {EXECUTOR_BACKENDS}, "
                 f"got {self.backend!r}"
-            )
-        if self.start_method not in ("spawn", "fork", "forkserver"):
-            raise ConfigError(
-                f"executor start_method must be spawn/fork/forkserver, "
-                f"got {self.start_method!r}"
             )
 
 
@@ -168,25 +157,18 @@ def _default_transport_backend() -> str:
     return os.environ.get("REPRO_TRANSPORT", "inproc")
 
 
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in ("1", "true", "on", "yes")
-
-
 @dataclass
 class TransportConf:
     """Message-transport selection and knobs (see ``docs/networking.md``).
 
     * ``inproc`` — the historical in-process registry/router: a call is a
-      Python method call plus counters and optional injected latency.
+      Python method call plus counters.
     * ``tcp`` — :mod:`repro.net`: every driver↔worker and worker↔worker
       message is framed, serialized, and sent over a real loopback
       socket; the driver and workers only share a socket address.
     """
 
     backend: str = field(default_factory=_default_transport_backend)
-    # Injected per-message latency, used by coordination benchmarks to
-    # model a real network (applied on the send path of both backends).
-    rpc_latency_s: float = 0.0
     # TCP dial timeout per attempt, and bounded-backoff retry budget for
     # refused/unreachable connects (a server that has not finished
     # binding yet is transient; one that stays refused is WorkerLost).
@@ -203,8 +185,6 @@ class TransportConf:
                 f"transport backend must be one of {TRANSPORT_BACKENDS}, "
                 f"got {self.backend!r}"
             )
-        if self.rpc_latency_s < 0:
-            raise ConfigError("rpc_latency_s must be >= 0")
         if self.connect_timeout_s <= 0:
             raise ConfigError("connect_timeout_s must be positive")
         if self.call_timeout_s <= 0:
@@ -213,12 +193,6 @@ class TransportConf:
             raise ConfigError("max_retries must be >= 0")
         if self.retry_backoff_s < 0:
             raise ConfigError("retry_backoff_s must be >= 0")
-
-
-def _default_telemetry_enabled() -> bool:
-    # REPRO_TELEMETRY=1 arms the live telemetry plane for a whole pytest
-    # or bench run, mirroring REPRO_TRANSPORT / REPRO_CHAOS_SEED.
-    return _env_flag("REPRO_TELEMETRY")
 
 
 @dataclass
@@ -233,17 +207,10 @@ class TelemetryConf:
     ``obs top`` / ``obs serve`` surfaces, and the SLO watchdog.
     """
 
-    enabled: bool = field(default_factory=_default_telemetry_enabled)
+    enabled: bool = False
     # Shipping cadence of each worker's telemetry loop; a worker silent
     # for max(4 * interval_s, 0.2) seconds reads stale.
     interval_s: float = 0.05
-    # Ring-buffer entries retained per (worker, metric) on the driver.
-    retention: int = 512
-    # Cap on histogram samples shipped in one delta; the remainder ships
-    # on the next tick (bounds the payload of any single message).
-    max_samples_per_delta: int = 512
-    # Window over which signals() derives rates and percentiles.
-    signal_window_s: float = 5.0
     # SLO watchdog thresholds, both in milliseconds; None disables a
     # check.  slo_p99_ms bounds per-stage task-latency p99,
     # slo_queue_delay_p99_ms bounds the cluster queueing-delay p99.
@@ -253,12 +220,6 @@ class TelemetryConf:
     def validate(self) -> None:
         if self.interval_s <= 0:
             raise ConfigError("telemetry interval_s must be positive")
-        if self.retention < 2:
-            raise ConfigError("telemetry retention must be >= 2")
-        if self.max_samples_per_delta < 1:
-            raise ConfigError("telemetry max_samples_per_delta must be >= 1")
-        if self.signal_window_s <= 0:
-            raise ConfigError("telemetry signal_window_s must be positive")
         for knob in ("slo_p99_ms", "slo_queue_delay_p99_ms"):
             value = getattr(self, knob)
             if value is not None and value <= 0:
@@ -287,43 +248,22 @@ class MonitorConf:
 CHAOS_PROFILES = ("net", "workers", "storage", "streaming", "mixed", "elastic", "driver")
 
 
-def _default_chaos_enabled() -> bool:
-    # Arming via the environment lets CI soak whole pytest runs without
-    # editing EngineConf constructions, mirroring REPRO_TRANSPORT.
-    return bool(
-        os.environ.get("REPRO_CHAOS_SEED") or os.environ.get("REPRO_CHAOS_PROFILE")
-    )
-
-
-def _default_chaos_seed() -> int:
-    return int(os.environ.get("REPRO_CHAOS_SEED", "0") or "0")
-
-
-def _default_chaos_profile() -> str:
-    return os.environ.get("REPRO_CHAOS_PROFILE", "mixed")
-
-
 @dataclass
 class ChaosConf:
     """Deterministic fault injection (``repro.chaos``).
 
     Disarmed by default: every injection hook is a no-op unless
-    ``enabled`` is true (set explicitly or via ``REPRO_CHAOS_SEED`` /
-    ``REPRO_CHAOS_PROFILE``).  When armed, the cluster derives a
+    ``enabled`` is true.  When armed, the cluster derives a
     :class:`repro.chaos.plan.FaultPlan` from ``(seed, profile,
     intensity)`` and installs a process-global injector for the cluster's
     lifetime; the same seed always yields the same fault schedule.
     """
 
-    enabled: bool = field(default_factory=_default_chaos_enabled)
-    seed: int = field(default_factory=_default_chaos_seed)
-    profile: str = field(default_factory=_default_chaos_profile)
+    enabled: bool = False
+    seed: int = 0
+    profile: str = "mixed"
     # Scales the number of scheduled fault events (1.0 ≈ 6 events).
     intensity: float = 1.0
-    # Hard cap on injected machine kills per run; the cluster further
-    # clamps it to num_workers - 1 so a plan can never kill the last
-    # survivor.
-    max_worker_kills: int = 1
 
     def validate(self) -> None:
         if self.profile not in CHAOS_PROFILES:
@@ -333,19 +273,11 @@ class ChaosConf:
             )
         if self.intensity <= 0:
             raise ConfigError("chaos intensity must be positive")
-        if self.max_worker_kills < 0:
-            raise ConfigError("chaos max_worker_kills must be >= 0")
 
 
 # Names resolvable by ElasticController when no policy object is given;
 # the authoritative constructors live in repro.elastic.policies.
 ELASTIC_POLICIES = ("signals", "utilization")
-
-
-def _default_elastic_enabled() -> bool:
-    # REPRO_ELASTIC=1 arms the autoscaling controller for a whole pytest
-    # or soak run, mirroring REPRO_TELEMETRY.
-    return _env_flag("REPRO_ELASTIC")
 
 
 @dataclass
@@ -362,7 +294,7 @@ class ElasticConf:
     follows the new worker count.
     """
 
-    enabled: bool = field(default_factory=_default_elastic_enabled)
+    enabled: bool = False
     # Cluster-size bounds the controller may move within (the policy's
     # own min/max are clamped to these).
     min_workers: int = 1
@@ -395,12 +327,6 @@ class ElasticConf:
             raise ConfigError("elastic shards_per_worker must be >= 1")
 
 
-def _default_ha_enabled() -> bool:
-    # REPRO_HA=1 arms the driver WAL for a whole pytest or soak run,
-    # mirroring REPRO_ELASTIC / REPRO_TELEMETRY.
-    return _env_flag("REPRO_HA")
-
-
 @dataclass
 class HaConf:
     """Driver fault tolerance (:mod:`repro.ha`).
@@ -415,7 +341,7 @@ class HaConf:
     zombie driver that lost the restart race.
     """
 
-    enabled: bool = field(default_factory=_default_ha_enabled)
+    enabled: bool = False
     # Directory holding wal.log + snapshot.bin; None lets the cluster
     # create a per-run temporary directory (useful for tests, useless for
     # an actual crash-restart — production runs should pin this).
@@ -447,8 +373,6 @@ class EngineConf:
     checkpoint_interval_batches: int = 0
     # Map-side partial aggregation (§3.5) for reduce_by_key.
     map_side_combine: bool = True
-    # Reuse map outputs from earlier micro-batches during recovery (§3.3).
-    reuse_intermediate_on_recovery: bool = True
     tuner: TunerConf = field(default_factory=TunerConf)
     speculation: SpeculationConf = field(default_factory=SpeculationConf)
     tracing: TracingConf = field(default_factory=TracingConf)
@@ -555,8 +479,16 @@ def _conf_from_dict(cls: type, data: Any) -> Any:
     for name, value in data.items():
         f = valid[name]
         sub_cls = f.default_factory if f.default_factory is not _MISSING else None
-        if sub_cls is not None and is_dataclass(sub_cls) and isinstance(value, dict):
-            kwargs[name] = _conf_from_dict(sub_cls, value)
+        if sub_cls is not None and is_dataclass(sub_cls):
+            if isinstance(value, dict):
+                kwargs[name] = _conf_from_dict(sub_cls, value)
+            elif isinstance(value, sub_cls):
+                kwargs[name] = value
+            else:
+                raise ConfigError(
+                    f"{cls.__name__}.{name} expects a dict or {sub_cls.__name__}, "
+                    f"got {type(value).__name__}"
+                )
         elif name == "scheduling_mode" and not isinstance(value, SchedulingMode):
             try:
                 kwargs[name] = SchedulingMode(value)

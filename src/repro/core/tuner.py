@@ -25,6 +25,9 @@ from typing import Any, Dict, List, Optional
 from repro.common.config import TunerConf
 from repro.common.stats import ExponentialAverage
 
+# Additive decrease: micro-batches removed from the group per step.
+DECREASE_STEP = 2
+
 
 @dataclass
 class TunerDecision:
@@ -94,7 +97,7 @@ class GroupSizeTuner:
             proposed = max(proposed, previous + 1)
         elif smoothed < self.conf.overhead_lower_bound:
             action = "decrease"
-            proposed = previous - self.conf.decrease_step
+            proposed = previous - DECREASE_STEP
         else:
             action = "hold"
             proposed = previous

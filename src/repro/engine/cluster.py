@@ -28,6 +28,10 @@ from repro.obs.export import write_jsonl, write_perfetto
 from repro.obs.live import ClusterTelemetry
 from repro.obs.trace import NULL_RECORDER, Recorder, TraceRecorder
 
+# Hard cap on machine kills an armed chaos plan may inject per run;
+# further clamped to num_workers - 1 so it never kills the last survivor.
+MAX_WORKER_KILLS = 1
+
 
 class LocalCluster:
     """An in-process cluster.  Context-manager friendly:
@@ -116,10 +120,7 @@ class LocalCluster:
             # Never let the plan take the last machine — and never kill at
             # all when no failure detector is running: a dead worker that
             # nothing can notice wedges the engine by design, not by bug.
-            kill_budget = min(
-                self.conf.chaos.max_worker_kills,
-                max(self.conf.num_workers - 1, 0),
-            )
+            kill_budget = min(MAX_WORKER_KILLS, max(self.conf.num_workers - 1, 0))
             if not self.conf.monitor.enable_heartbeats:
                 kill_budget = 0
             self.chaos = ChaosInjector(
@@ -163,7 +164,6 @@ class LocalCluster:
             hub_addr = None if name == "driver" else self.transport.address
             return TcpTransport(
                 self.metrics,
-                latency_s=self.conf.transport.rpc_latency_s,
                 clock=self.clock,
                 tracer=self.tracer,
                 conf=self.conf.transport,
@@ -171,12 +171,7 @@ class LocalCluster:
                 name=name,
             )
         if name == "driver":
-            return Transport(
-                self.metrics,
-                latency_s=self.conf.transport.rpc_latency_s,
-                clock=self.clock,
-                tracer=self.tracer,
-            )
+            return Transport(self.metrics, tracer=self.tracer)
         return self.transport  # inproc: everyone shares the driver's router
 
     # ------------------------------------------------------------------

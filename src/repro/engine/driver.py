@@ -12,9 +12,6 @@ Implements the control-plane variants the paper compares:
 * ``DRIZZLE`` — pre-scheduling plus *group scheduling* (§3.1): placement
   is computed once per group and every batch's tasks ship in a single RPC
   per worker per group.
-* ``PIPELINED`` — §3.6 design alternative; identical semantics to
-  PER_BATCH in the real engine (the timing difference is modeled in the
-  simulator, where it matters).
 
 Fault tolerance follows §3.3: heartbeat-based detection, resubmission of
 lost tasks, parallel recovery across in-flight micro-batches, reuse of
@@ -375,10 +372,7 @@ class Driver:
     # ------------------------------------------------------------------
     def run_job(self, plan: PhysicalPlan, job_key: Any = None, reuse: bool = False) -> Any:
         """Execute one job synchronously and return the action's result."""
-        if self.conf.scheduling_mode in (
-            SchedulingMode.PER_BATCH,
-            SchedulingMode.PIPELINED,
-        ):
+        if self.conf.scheduling_mode is SchedulingMode.PER_BATCH:
             return self._run_barrier(plan, job_key=job_key, reuse=reuse)
         job_ids = self.submit_group([plan], job_keys=[job_key], reuse=reuse)
         return self.wait_job(job_ids[0])
@@ -409,10 +403,7 @@ class Driver:
 
         with group_span:
             try:
-                if self.conf.scheduling_mode in (
-                    SchedulingMode.PER_BATCH,
-                    SchedulingMode.PIPELINED,
-                ):
+                if self.conf.scheduling_mode is SchedulingMode.PER_BATCH:
                     results = [
                         self._run_barrier(plan, job_key=key, reuse=reuse)
                         for plan, key in zip(plans, keys)

@@ -140,39 +140,15 @@ class ExecutorBackend:
 
 class InlineExecutor(ExecutorBackend):
     """Deterministic backend: tasks run synchronously in the submitting
-    thread, so a single-threaded test observes one fixed interleaving.
-
-    With ``deferred=True`` (selected automatically under the tcp
-    transport) submissions run on ONE dedicated slot thread instead of
-    the caller's: execution stays strictly serialized, but an RPC handler
-    thread that delivered ``launch_tasks`` over a socket returns
-    immediately.  Running the task in that handler would deadlock the
-    cluster — the task's completion report calls back into a driver that
-    is still holding its scheduling lock waiting for the launch call to
-    return (in-process, the driver's re-entrant lock hides this because
-    caller and handler share a thread)."""
+    thread, so a single-threaded test observes one fixed interleaving."""
 
     name = "inline"
 
-    def __init__(self, worker_id: str = "inline", deferred: bool = False):
-        self._pool = _SlotPool(worker_id, 1) if deferred else None
-
     def submit(self, fn: Callable[..., None], *args: Any) -> None:
-        if self._pool is not None:
-            self._pool.submit(fn, *args)
-        else:
-            fn(*args)
+        fn(*args)
 
     def run_compute(self, request: ComputeRequest) -> ComputeOutcome:
         return _local_outcome(request, self.name)
-
-    def shutdown(self, wait: bool = True) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=wait)
-
-    @property
-    def slot_thread_names(self) -> List[str]:
-        return [] if self._pool is None else self._pool.thread_names
 
 
 def _local_outcome(request: ComputeRequest, backend: str) -> ComputeOutcome:
@@ -325,10 +301,9 @@ class ProcessExecutor(ExecutorBackend):
 
     name = "process"
 
-    def __init__(self, worker_id: str, slots: int, start_method: str = "spawn"):
+    def __init__(self, worker_id: str, slots: int):
         self.worker_id = worker_id
         self._slots = slots
-        self._start_method = start_method
         self._slot_pool = _SlotPool(worker_id, slots)
         self._pool: Optional[Any] = None
         self._pool_lock = threading.Lock()
@@ -346,7 +321,9 @@ class ProcessExecutor(ExecutorBackend):
             if self._closed:
                 raise RuntimeError(f"{self.worker_id}: executor is shut down")
             if self._pool is None:
-                ctx = multiprocessing.get_context(self._start_method)
+                # spawn: fork is unsafe with the engine's own threads
+                # alive in the parent.
+                ctx = multiprocessing.get_context("spawn")
                 self._pool = ctx.Pool(processes=self._slots)
             return self._pool
 
@@ -418,14 +395,17 @@ def create_backend(conf: EngineConf, worker_id: str) -> ExecutorBackend:
     slot count."""
     backend = conf.executor.backend
     if backend == "inline":
-        # Over sockets, synchronous submit would run tasks inside RPC
-        # handler threads and deadlock against the driver's lock; keep
-        # serialized semantics on one slot thread instead.
-        return InlineExecutor(worker_id, deferred=conf.transport.backend == "tcp")
+        if conf.transport.backend == "tcp":
+            # Running a task inside the RPC handler thread that delivered
+            # launch_tasks over a socket deadlocks: its completion report
+            # calls back into a driver still holding its scheduling lock
+            # while it waits for the launch call to return (in-process the
+            # re-entrant lock hides this, caller and handler share a
+            # thread).  One slot thread keeps execution serialized.
+            return ThreadExecutor(worker_id, 1)
+        return InlineExecutor()
     if backend == "thread":
         return ThreadExecutor(worker_id, conf.slots_per_worker)
     if backend == "process":
-        return ProcessExecutor(
-            worker_id, conf.slots_per_worker, conf.executor.start_method
-        )
+        return ProcessExecutor(worker_id, conf.slots_per_worker)
     raise ValueError(f"unknown executor backend {backend!r}")  # pragma: no cover

@@ -3,9 +3,9 @@
 All cross-node communication in the engine flows through
 :meth:`BaseTransport.call` (request/response) or :meth:`BaseTransport.post`
 (one-way) so that (a) every message is counted — the RPC
-amortization claims of §3.1 are observable as message counts, (b) optional
-per-message latency can be injected, and (c) a dead endpoint behaves like
-a crashed machine: calls to it raise :class:`WorkerLost`.
+amortization claims of §3.1 are observable as message counts, and (b) a
+dead endpoint behaves like a crashed machine: calls to it raise
+:class:`WorkerLost`.
 
 Two implementations exist behind the same API (selected by
 ``TransportConf.backend``):
@@ -28,7 +28,6 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.common.clock import Clock, WallClock
 from repro.common.errors import WorkerLost
 from repro.common.metrics import COUNT_RPC_MESSAGES, MetricsRegistry
 from repro.obs.trace import NULL_RECORDER, Recorder, SpanContext
@@ -56,19 +55,15 @@ class Envelope:
 
 class BaseTransport:
     """Contract shared by the in-process and tcp transports: endpoint
-    registry, failure surface (:class:`WorkerLost`), message accounting,
-    and optional injected latency."""
+    registry, failure surface (:class:`WorkerLost`) and message
+    accounting."""
 
     def __init__(
         self,
         metrics: MetricsRegistry | None = None,
-        latency_s: float = 0.0,
-        clock: Clock | None = None,
         tracer: Recorder | None = None,
     ):
         self.metrics = metrics or MetricsRegistry()
-        self.latency_s = latency_s
-        self._clock = clock or WallClock()
         self.tracer = tracer if tracer is not None else NULL_RECORDER
 
     def register(self, endpoint_id: str, obj: Any) -> None:
@@ -125,9 +120,9 @@ class BaseTransport:
     def ship_telemetry(self, dst_id: str, src_id: str, delta: Any) -> bool:
         """Deliver a telemetry delta to ``dst_id`` as *plumbing*: like
         discovery (``__announce__``/``__ping__``), this never touches
-        ``COUNT_RPC_MESSAGES`` and never injects latency, so arming
-        telemetry preserves the ±0 message-count parity between
-        transports.  Best-effort: returns whether the delta was taken."""
+        ``COUNT_RPC_MESSAGES``, so arming telemetry preserves the ±0
+        message-count parity between transports.  Best-effort: returns
+        whether the delta was taken."""
         return False
 
     def evict(self, endpoint_id: str) -> None:
@@ -145,11 +140,9 @@ class Transport(BaseTransport):
     def __init__(
         self,
         metrics: MetricsRegistry | None = None,
-        latency_s: float = 0.0,
-        clock: Clock | None = None,
         tracer: Recorder | None = None,
     ):
-        super().__init__(metrics, latency_s, clock, tracer)
+        super().__init__(metrics, tracer)
         self._endpoints: Dict[str, Any] = {}
         self._dead: set = set()
         self._lock = threading.Lock()
@@ -195,8 +188,6 @@ class Transport(BaseTransport):
                 raise WorkerLost(dst_id, "endpoint is down")
             target = self._endpoints[dst_id]
         self.metrics.counter(COUNT_RPC_MESSAGES).add(1)
-        if self.latency_s > 0:
-            self._clock.sleep(self.latency_s)
         if not self.tracer.enabled:
             return getattr(target, method)(*args, **kwargs)
         envelope = Envelope(dst_id, method, self.tracer.current())

@@ -113,9 +113,7 @@ class Worker:
         self._stop_tel = threading.Event()
         if conf.telemetry.enabled:
             self.telemetry_metrics = MetricsRegistry(self.clock)
-            self._telemetry_snap = DeltaSnapshotter(
-                self.telemetry_metrics, conf.telemetry.max_samples_per_delta
-            )
+            self._telemetry_snap = DeltaSnapshotter(self.telemetry_metrics)
         # Driver session-epoch fencing (repro.ha): the highest epoch seen
         # on any driver message.  A message stamped with a *lower* epoch
         # comes from a zombie — a driver believed dead whose restart

@@ -61,7 +61,7 @@ from repro.chaos.plan import (
     SITE_NET_FRAME,
     FaultEvent,
 )
-from repro.common.clock import Clock
+from repro.common.clock import Clock, WallClock
 from repro.common.config import TransportConf
 from repro.common.errors import SerializationError, WorkerLost
 from repro.common.metrics import (
@@ -92,8 +92,8 @@ from repro.net.stageblobs import StageBlobReceiver, StageBlobSender, WireLaunch
 from repro.obs.trace import Recorder
 
 # Directory/ping methods handled by the transport itself; they never
-# touch COUNT_RPC_MESSAGES or the injected latency — they are plumbing,
-# not engine messages (bytes counters still see them: wire truth).
+# touch COUNT_RPC_MESSAGES — they are plumbing, not engine messages
+# (bytes counters still see them: wire truth).
 ANNOUNCE = "__announce__"
 RESOLVE = "__resolve__"
 PING = "__ping__"
@@ -269,14 +269,14 @@ class TcpTransport(BaseTransport):
     def __init__(
         self,
         metrics: MetricsRegistry | None = None,
-        latency_s: float = 0.0,
         clock: Clock | None = None,
         tracer: Recorder | None = None,
         conf: Optional[TransportConf] = None,
         hub_addr: Optional[Address] = None,
         name: str = "net",
     ):
-        super().__init__(metrics, latency_s, clock, tracer)
+        super().__init__(metrics, tracer)
+        self._clock = clock or WallClock()
         self.conf = conf or TransportConf(backend="tcp")
         self._hub_addr = hub_addr  # None => this transport IS the hub
         self._local: Dict[str, Any] = {}
@@ -386,8 +386,8 @@ class TcpTransport(BaseTransport):
     def ship_telemetry(self, dst_id: str, src_id: str, delta: Any) -> bool:
         """Deliver a telemetry delta over the wire as an uncounted
         ``__metrics__`` exchange — plumbing like ``__ping__``: no
-        ``COUNT_RPC_MESSAGES``, no injected latency, no per-method
-        latency histogram (bytes counters still see it: wire truth)."""
+        ``COUNT_RPC_MESSAGES``, no per-method latency histogram (bytes
+        counters still see it: wire truth)."""
         try:
             addr = self._resolve(dst_id)
             status, value = self._internal_call(
@@ -420,15 +420,13 @@ class TcpTransport(BaseTransport):
     # ------------------------------------------------------------------
     def _open_message(self, dst_id: str, method: str) -> Tuple[Address, Envelope]:
         """What a call and a post share before anything is sent: refuse a
-        known-dead peer, resolve it, count one engine message, pay the
-        injected latency, and capture the sender's trace context."""
+        known-dead peer, resolve it, count one engine message, and capture
+        the sender's trace context."""
         with self._lock:
             if dst_id in self._dead:
                 raise WorkerLost(dst_id, "endpoint is down")
         addr = self._resolve(dst_id)
         self.metrics.counter(COUNT_RPC_MESSAGES).add(1)
-        if self.latency_s > 0:
-            self._clock.sleep(self.latency_s)
         ctx = self.tracer.current() if self.tracer.enabled else None
         return addr, Envelope(dst_id, method, ctx)
 

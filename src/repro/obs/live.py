@@ -65,6 +65,13 @@ log = logging.getLogger("repro.obs.live")
 # id; it is never subject to staleness (the driver polls itself).
 DRIVER_TIMELINE = "driver"
 
+# Ring-buffer entries retained per (worker, metric) on the driver.
+_RETENTION = 512
+# Cap on histogram samples shipped in one delta; the remainder ships on
+# the next tick (bounds the payload of any single message).
+_MAX_SAMPLES_PER_DELTA = 512
+# Window over which signals() derives rates and percentiles by default.
+_SIGNAL_WINDOW_S = 5.0
 # Bounded per-worker fault-annotation ring (chaos events are rare).
 _MAX_FAULTS = 64
 # Bounded SLO violation log.
@@ -90,7 +97,9 @@ class DeltaSnapshotter:
     Thread-safe: ship loops and on-demand pollers may race.
     """
 
-    def __init__(self, registry: MetricsRegistry, max_samples: int = 512):
+    def __init__(
+        self, registry: MetricsRegistry, max_samples: int = _MAX_SAMPLES_PER_DELTA
+    ):
         self.registry = registry
         self.max_samples = max_samples
         self._counter_last: Dict[str, float] = {}
@@ -138,7 +147,7 @@ class DeltaSnapshotter:
 class _Timeline:
     """Driver-side state for one worker (or the driver itself)."""
 
-    def __init__(self, retention: int, created_at: float):
+    def __init__(self, created_at: float):
         self.created_at = created_at
         self.last_seen = created_at
         self.deltas = 0
@@ -150,7 +159,6 @@ class _Timeline:
         # Histogram samples as (t, value) rings.
         self.samples: Dict[str, Deque[Tuple[float, float]]] = {}
         self.faults: Deque[Dict[str, Any]] = deque(maxlen=_MAX_FAULTS)
-        self._retention = retention
 
     def merge(self, delta: Dict[str, Any], now: float) -> None:
         self.last_seen = now
@@ -160,14 +168,14 @@ class _Timeline:
             self.counters[name] = total
             ring = self.counter_rings.get(name)
             if ring is None:
-                ring = self.counter_rings[name] = deque(maxlen=self._retention)
+                ring = self.counter_rings[name] = deque(maxlen=_RETENTION)
             ring.append((now, total))
         for name, value in (delta.get("gauges") or {}).items():
             self.gauges[name] = float(value)
         for name, new_samples in (delta.get("samples") or {}).items():
             ring = self.samples.get(name)
             if ring is None:
-                ring = self.samples[name] = deque(maxlen=self._retention)
+                ring = self.samples[name] = deque(maxlen=_RETENTION)
             for s in new_samples:
                 ring.append((now, float(s)))
 
@@ -230,13 +238,13 @@ class ClusterTelemetry:
         )
         self._driver_metrics = driver_metrics
         self._driver_snap = (
-            DeltaSnapshotter(driver_metrics, self.conf.max_samples_per_delta)
+            DeltaSnapshotter(driver_metrics)
             if driver_metrics is not None
             else None
         )
         self._timelines: Dict[str, _Timeline] = {}
         # Driver poll times: the wall-clock spine for coordination signals.
-        self._poll_times: Deque[float] = deque(maxlen=self.conf.retention)
+        self._poll_times: Deque[float] = deque(maxlen=_RETENTION)
         self.violations: List[Dict[str, Any]] = []
         self.scale_events: Deque[Dict[str, Any]] = deque(maxlen=_MAX_SCALE_EVENTS)
         self._last_slo_check = float("-inf")
@@ -271,7 +279,7 @@ class ClusterTelemetry:
             timeline = self._timeline_locked(worker_id, now)
             ring = timeline.samples.get(name)
             if ring is None:
-                ring = timeline.samples[name] = deque(maxlen=self.conf.retention)
+                ring = timeline.samples[name] = deque(maxlen=_RETENTION)
             ring.append((now, float(value)))
 
     def set_gauge(
@@ -295,9 +303,7 @@ class ClusterTelemetry:
         with self._lock:
             timeline = self._timelines.get(worker_id)
             if timeline is None:
-                timeline = self._timelines[worker_id] = _Timeline(
-                    self.conf.retention, now
-                )
+                timeline = self._timelines[worker_id] = _Timeline(now)
                 # A timeline born from a fault has never shipped data;
                 # make it immediately stale rather than freshly seen.
                 timeline.last_seen = now - self.stale_after_s - 1e-9
@@ -318,9 +324,7 @@ class ClusterTelemetry:
     def _timeline_locked(self, worker_id: str, now: float) -> _Timeline:
         timeline = self._timelines.get(worker_id)
         if timeline is None:
-            timeline = self._timelines[worker_id] = _Timeline(
-                self.conf.retention, now
-            )
+            timeline = self._timelines[worker_id] = _Timeline(now)
         return timeline
 
     # ------------------------------------------------------------------
@@ -429,7 +433,7 @@ class ClusterTelemetry:
         elastic controller); see docs/observability.md for the formulas.
         """
         self.poll_driver()
-        window = window_s if window_s is not None else self.conf.signal_window_s
+        window = window_s if window_s is not None else _SIGNAL_WINDOW_S
         now = self.clock.now()
         with self._lock:
             live = {

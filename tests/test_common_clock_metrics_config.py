@@ -196,6 +196,25 @@ class TestEngineConf:
     def test_defaults_valid(self):
         EngineConf().validate()
 
+    def test_environment_does_not_arm_features(self, monkeypatch):
+        # Only REPRO_TRANSPORT and REPRO_EXECUTOR_BACKEND pick defaults;
+        # every feature is armed by its conf alone.
+        for name, value in (
+            ("REPRO_TELEMETRY", "1"),
+            ("REPRO_ELASTIC", "1"),
+            ("REPRO_HA", "1"),
+            ("REPRO_CHAOS_SEED", "abc"),
+            ("REPRO_CHAOS_PROFILE", "net"),
+        ):
+            monkeypatch.setenv(name, value)
+        conf = EngineConf()
+        conf.validate()
+        assert not conf.telemetry.enabled
+        assert not conf.elastic.enabled
+        assert not conf.ha.enabled
+        assert not conf.chaos.enabled
+        assert (conf.chaos.seed, conf.chaos.profile) == (0, "mixed")
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -255,7 +274,6 @@ class TestTunerConf:
             {"overhead_lower_bound": -0.1},
             {"overhead_upper_bound": 1.5},
             {"increase_factor": 1.0},
-            {"decrease_step": 0},
             {"min_group_size": 0},
             {"min_group_size": 10, "max_group_size": 5},
             {"ewma_alpha": 0.0},

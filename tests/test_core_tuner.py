@@ -28,7 +28,7 @@ class TestAimdBehavior:
         tuner = make_tuner(initial=10)
         decision = tuner.observe(coordination_time=0.001, total_time=1.0)
         assert decision.action == "decrease"
-        assert decision.new_group_size == 8  # minus decrease_step (2)
+        assert decision.new_group_size == 8  # minus DECREASE_STEP (2)
 
     def test_in_band_holds(self):
         tuner = make_tuner(initial=10)

@@ -168,7 +168,7 @@ class TestConfRoundTrip:
             scheduling_mode=SchedulingMode.PRE_SCHEDULED,
             group_size=5,
             executor=ExecutorConf(backend="inline"),
-            transport=TransportConf(rpc_latency_s=0.01),
+            transport=TransportConf(call_timeout_s=12.5),
             monitor=MonitorConf(enable_heartbeats=True, heartbeat_interval_s=0.1,
                                 heartbeat_timeout_s=0.4),
         )
@@ -195,6 +195,38 @@ class TestConfRoundTrip:
     def test_bad_scheduling_mode_rejected(self):
         with pytest.raises(ConfigError, match="drizzle"):
             EngineConf.from_dict({"scheduling_mode": "warp-speed"})
+
+    def test_pipelined_is_not_an_engine_mode(self):
+        # §3.6 pipelining is modeled by the simulator only.
+        with pytest.raises(ConfigError) as err:
+            EngineConf.from_dict({"scheduling_mode": "pipelined"})
+        assert "['per_batch', 'pre_scheduled', 'drizzle']" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "data, valid_key",
+        [
+            ({"reuse_intermediate_on_recovery": True}, "map_side_combine"),
+            ({"executor": {"start_method": "spawn"}}, "backend"),
+            ({"transport": {"rpc_latency_s": 0.0}}, "call_timeout_s"),
+            ({"tuner": {"decrease_step": 2}}, "increase_factor"),
+            ({"telemetry": {"retention": 512}}, "interval_s"),
+            ({"telemetry": {"max_samples_per_delta": 512}}, "interval_s"),
+            ({"telemetry": {"signal_window_s": 5.0}}, "interval_s"),
+            ({"chaos": {"max_worker_kills": 1}}, "intensity"),
+        ],
+    )
+    def test_removed_keys_rejected(self, data, valid_key):
+        with pytest.raises(ConfigError, match=f"valid keys: .*'{valid_key}'"):
+            EngineConf.from_dict(data)
+
+    @pytest.mark.parametrize("value", ["tcp", 3, None, ["inproc"]])
+    def test_non_dict_subconf_rejected(self, value):
+        with pytest.raises(ConfigError, match="EngineConf.transport"):
+            EngineConf.from_dict({"transport": value})
+
+    def test_subconf_instance_accepted(self):
+        conf = EngineConf.from_dict({"transport": TransportConf(backend="tcp")})
+        assert conf.transport.backend == "tcp"
 
 
 class TestBackendParityExtras:

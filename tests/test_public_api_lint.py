@@ -4,7 +4,8 @@ that earlier releases deprecated or removed are gone for good.
 """
 
 import pathlib
-from dataclasses import fields
+import re
+from dataclasses import fields, is_dataclass
 
 import pytest
 
@@ -98,6 +99,21 @@ def test_removed_data_plane_names_appear_nowhere():
         "VERSION" "_FLAGS",
         "HEADER" "_FLAGS",
         "bytes_saved" "_compression",
+        # Settings nothing set to a second value, and the env switches
+        # that armed features behind EngineConf's back.
+        "reuse_intermediate" "_on_recovery",
+        "start" "_method",
+        "rpc_latency" "_s",
+        "decrease" "_step",
+        "max_samples" "_per_delta",
+        "signal_window" "_s",
+        "max_worker" "_kills",
+        "SchedulingMode" ".PIPELINED",
+        "_env" "_flag",
+        "REPRO_" "TELEMETRY",
+        "REPRO_" "ELASTIC",
+        "REPRO_" "HA",
+        "REPRO_" "CHAOS",
     )
     files = [REPO_ROOT / "README.md"]
     for top in ("src", "docs", ".github"):
@@ -111,3 +127,28 @@ def test_removed_data_plane_names_appear_nowhere():
             f"{path.relative_to(REPO_ROOT)}: {name}" for name in removed if name in text
         ]
     assert not offenders, "\n".join(offenders)
+
+
+def test_only_deployment_switches_read_the_environment():
+    """``src`` reads exactly these ``REPRO_*`` variables: the two CI
+    matrix defaults and the soak's journal directory."""
+    pattern = re.compile(
+        r"(?:environ\.get\(|environ\[|getenv\()\s*[\"'](REPRO_[A-Z0-9_]+)"
+    )
+    read = set()
+    for path in (REPO_ROOT / "src").rglob("*.py"):
+        read |= set(pattern.findall(path.read_text()))
+    assert read == {"REPRO_TRANSPORT", "REPRO_EXECUTOR_BACKEND", "REPRO_SOAK_WAL_ROOT"}
+
+
+def test_engine_conf_settable_value_count():
+    """Every EngineConf leaf value is an option tests and benchmarks must
+    cover; a new one is a deliberate decision, not a drive-by."""
+
+    def leaves(conf):
+        return sum(
+            leaves(value) if is_dataclass(value) else 1
+            for value in (getattr(conf, f.name) for f in fields(conf))
+        )
+
+    assert leaves(EngineConf()) == 50
