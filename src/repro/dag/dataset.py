@@ -217,9 +217,12 @@ class Dataset:
 
 class SourceDataset(Dataset):
     """A leaf: ``partition_fn(partition_index)`` yields that partition's
-    records, *evaluated on the worker* (this is how the Drizzle port of
-    Spark Streaming moves source-metadata computation out of the driver,
-    paper §4)."""
+    records.  The driver evaluates it when the job is submitted and each
+    source task's descriptor carries its partition's records, so a stage
+    blob holds code only.  §4 moves source-offset computation onto the
+    workers because there the records sit in an external log any worker
+    can read; here every log lives in the driver's process, so the driver
+    is the one place that can read it."""
 
     def __init__(
         self,
@@ -230,6 +233,16 @@ class SourceDataset(Dataset):
         super().__init__(num_partitions)
         self.partition_fn = partition_fn
         self.locality = list(locality) if locality is not None else None
+
+
+def stream_input(partition: int) -> Iterable[Any]:
+    """The source function of a streaming plan compiled once for a whole
+    group: it stands for each batch's input, which the driver resolves
+    per job and ships in the source tasks' descriptors."""
+    raise PlanError(
+        f"stream input for partition {partition} was not resolved: a "
+        "streaming plan needs each job's source"
+    )
 
 
 def parallelize(data: Sequence[Any], num_partitions: int) -> SourceDataset:

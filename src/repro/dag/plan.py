@@ -14,6 +14,7 @@ payloads.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -94,6 +95,18 @@ class StageSpec:
     def is_result(self) -> bool:
         return self.action_fn is not None
 
+    @property
+    def is_source(self) -> bool:
+        """Reads a source, not a shuffle: its input comes from the driver."""
+        return not self.input_shuffles
+
+    def code_only(self) -> "StageSpec":
+        """This stage without its source function: what a worker receives.
+        A source task's records travel in its descriptor instead."""
+        if self.source_fn is None:
+            return self
+        return dataclasses.replace(self, source_fn=None)
+
     def task_dependencies(self, partition: int) -> frozenset:
         """Union of dependency sets over every input shuffle."""
         deps: set = set()
@@ -128,6 +141,10 @@ class PhysicalPlan:
 
     def total_tasks(self) -> int:
         return sum(s.num_tasks for s in self.stages)
+
+    def code_only(self) -> "PhysicalPlan":
+        """This plan with every stage :meth:`StageSpec.code_only`."""
+        return PhysicalPlan([s.code_only() for s in self.stages], self.finalize)
 
 
 @dataclass(frozen=True)

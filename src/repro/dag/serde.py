@@ -256,10 +256,11 @@ def _find_offender(obj: Any, seen: set) -> Optional[str]:
 
 
 def dumps_closure(obj: Any, context: str = "task payload") -> bytes:
-    """Serialize ``obj`` (closures included) to bytes for a child process.
+    """Serialize ``obj`` (closures included) to bytes for another process:
+    a process-executor child, or a peer across the tcp transport.
 
-    Raises :class:`SerializationError` naming the offending capture when
-    something in the payload cannot cross the process boundary."""
+    Raises :class:`SerializationError` naming ``context`` and the
+    offending capture when something in the payload cannot be pickled."""
     buf = io.BytesIO()
     try:
         _ClosurePickler(buf, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
@@ -272,9 +273,9 @@ def dumps_closure(obj: Any, context: str = "task payload") -> bytes:
         offender = _find_offender(obj, set())
         detail = offender or f"{_describe(obj)}: {err}"
         raise SerializationError(
-            f"cannot serialize {context} for the process executor: {detail}. "
-            "Captures must be picklable values; move handles (locks, files, "
-            "sockets) inside the function body or switch to the thread backend."
+            f"cannot serialize {context}: {detail}. Captures must be "
+            "picklable values; create handles (locks, files, sockets) inside "
+            "the function body instead of capturing them."
         ) from err
     return buf.getvalue()
 

@@ -17,13 +17,19 @@ Fault tolerance follows §3.3: heartbeat-based detection, resubmission of
 lost tasks, parallel recovery across in-flight micro-batches, reuse of
 surviving intermediate (map) outputs, and pre-population of completed
 dependencies when a pre-scheduled task is moved to a new machine.
+
+Input reaches a task one way: the driver resolves every source stage's
+records when a job is submitted, outside its lock, and each source task's
+descriptor carries its partition.  A job keeps its inputs until it is
+dropped, so a re-run or a speculative copy gets the same records.  Plans
+are code only, which lets every batch of a stream share one plan.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.common.clock import Clock, WallClock
 from repro.common.config import EngineConf, SchedulingMode
@@ -50,6 +56,7 @@ from repro.common.metrics import (
 from repro.core.groups import CoordinationLedger, PlacementPolicy, StageTemplate
 from repro.core.prescheduling import DepKey
 from repro.core.tuner import GroupSizeTuner
+from repro.dag.dataset import stream_input
 from repro.dag.plan import PhysicalPlan, ShuffleSpec, StageSpec
 from repro.engine.rpc import BaseTransport
 from repro.engine.task import TaskDescriptor, TaskId, TaskReport
@@ -67,6 +74,12 @@ from repro.obs.trace import NULL_RECORDER, Recorder, SpanContext
 
 DRIVER_ID = "driver"
 
+# A source stage's records, one list per partition, by stage index.
+JobInputs = Dict[int, List[List[Any]]]
+# What feeds a streaming plan's placeholder source stages for one job:
+# the batch's partition function (None for a plan with no placeholder).
+JobSource = Optional[Callable[[int], Iterable[Any]]]
+
 
 @dataclass
 class JobState:
@@ -76,6 +89,9 @@ class JobState:
     job_key: Any
     plan: PhysicalPlan
     pre_scheduled: bool
+    # Every source stage's records, resolved at submission; every attempt
+    # of a source task gets its partition from here.
+    inputs: JobInputs = field(default_factory=dict)
     stage_remaining: Dict[int, Set[int]] = field(default_factory=dict)
     map_status: Dict[DepKey, str] = field(default_factory=dict)
     # Epoch (producing task attempt) each completed map output was written
@@ -382,14 +398,18 @@ class Driver:
         plans: Sequence[PhysicalPlan],
         job_keys: Optional[Sequence[Any]] = None,
         reuse: bool = False,
+        sources: Optional[Sequence[JobSource]] = None,
     ) -> List[Any]:
         """Execute a group of jobs and return their results in order.
 
         Under DRIZZLE this is one group-scheduling round; under barrier
         modes the jobs run sequentially (the Spark-streaming behaviour).
         Feeds the group-size tuner with the measured coordination ledger.
+        ``sources[i]`` feeds job ``i``'s placeholder source stages (see
+        :meth:`_resolve_inputs`); several jobs may share one plan.
         """
         keys = list(job_keys) if job_keys is not None else [None] * len(plans)
+        job_sources = list(sources) if sources is not None else [None] * len(plans)
         group_span = self.tracer.start_span(
             SPAN_GROUP,
             root=True,
@@ -405,11 +425,13 @@ class Driver:
             try:
                 if self.conf.scheduling_mode is SchedulingMode.PER_BATCH:
                     results = [
-                        self._run_barrier(plan, job_key=key, reuse=reuse)
-                        for plan, key in zip(plans, keys)
+                        self._run_barrier(plan, job_key=key, reuse=reuse, source=source)
+                        for plan, key, source in zip(plans, keys, job_sources)
                     ]
                 else:
-                    job_ids = self.submit_group(plans, job_keys=keys, reuse=reuse)
+                    job_ids = self.submit_group(
+                        plans, job_keys=keys, reuse=reuse, sources=job_sources
+                    )
                     results = [self.wait_job(job_id) for job_id in job_ids]
             finally:
                 # Runs before the span closes so the annotations are kept.
@@ -516,8 +538,30 @@ class Driver:
     # ------------------------------------------------------------------
     # Job registration (shared)
     # ------------------------------------------------------------------
+    @staticmethod
+    def _resolve_inputs(plan: PhysicalPlan, source: JobSource = None) -> JobInputs:
+        """Read every source stage's records, one list per partition.  A
+        stage whose ``source_fn`` is the :func:`stream_input` placeholder
+        reads ``source`` (the job's batch); any other reads its own
+        ``source_fn``.  Runs on the submitting thread, outside the lock."""
+        inputs: JobInputs = {}
+        for stage in plan.stages:
+            if not stage.is_source:
+                continue
+            read = stage.source_fn
+            if read is stream_input and source is not None:
+                read = source
+            assert read is not None
+            inputs[stage.stage_index] = [list(read(p)) for p in range(stage.num_tasks)]
+        return inputs
+
     def _register_job(
-        self, plan: PhysicalPlan, job_key: Any, pre_scheduled: bool, reuse: bool
+        self,
+        plan: PhysicalPlan,
+        job_key: Any,
+        pre_scheduled: bool,
+        reuse: bool,
+        inputs: Optional[JobInputs] = None,
     ) -> JobState:
         with self._lock:
             prior: Optional[JobState] = None
@@ -539,6 +583,7 @@ class Driver:
                 job_key=job_key,
                 plan=plan,
                 pre_scheduled=pre_scheduled,
+                inputs=inputs or {},
             )
             for stage in plan.stages:
                 job.stage_remaining[stage.stage_index] = set(range(stage.num_tasks))
@@ -638,17 +683,24 @@ class Driver:
         plans: Sequence[PhysicalPlan],
         job_keys: Optional[Sequence[Any]] = None,
         reuse: bool = False,
+        sources: Optional[Sequence[JobSource]] = None,
     ) -> List[int]:
         """Pre-schedule every stage of every micro-batch in the group.
 
         Placement is computed once (scheduling-decision reuse, §3.1) and
         each worker receives a single ``launch_tasks`` RPC for the whole
         group, followed by a ``pre_populate`` message when reused outputs
-        already satisfy some dependencies.
+        already satisfy some dependencies.  ``sources`` is as for
+        :meth:`run_group`.
         """
         if not plans:
             return []
         keys = list(job_keys) if job_keys is not None else [None] * len(plans)
+        job_sources = list(sources) if sources is not None else [None] * len(plans)
+        inputs = [
+            self._resolve_inputs(plan, source)
+            for plan, source in zip(plans, job_sources)
+        ]
         sched_start = self.clock.now()
         per_worker: Dict[str, List[TaskDescriptor]] = {}
         prepopulate: Dict[int, List[Tuple[DepKey, str, int]]] = {}
@@ -664,8 +716,10 @@ class Driver:
             # (§3.1); a context with several output operators contributes
             # one extra assignment per distinct shape.
             assignments: Dict[Tuple, Any] = {}
-            for plan, key in zip(plans, keys):
-                job = self._register_job(plan, key, pre_scheduled=True, reuse=reuse)
+            for plan, key, job_inputs in zip(plans, keys, inputs):
+                job = self._register_job(
+                    plan, key, pre_scheduled=True, reuse=reuse, inputs=job_inputs
+                )
                 jobs.append(job)
                 shape = tuple(
                     (
@@ -803,7 +857,14 @@ class Driver:
             deps=stage.task_dependencies(partition),
             downstream=downstream,
             trace_ctx=self._stage_ctx(job, stage.stage_index),
+            input=self._task_input(job, stage.stage_index, partition),
         )
+
+    @staticmethod
+    def _task_input(job: JobState, stage_index: int, partition: int) -> Optional[List[Any]]:
+        """The records a source task reads (None for a shuffle reader)."""
+        stage_inputs = job.inputs.get(stage_index)
+        return None if stage_inputs is None else stage_inputs[partition]
 
     @staticmethod
     def _stage_ctx(job: JobState, stage_index: int) -> Optional[SpanContext]:
@@ -814,8 +875,16 @@ class Driver:
     # ------------------------------------------------------------------
     # Barrier (Spark) path
     # ------------------------------------------------------------------
-    def _run_barrier(self, plan: PhysicalPlan, job_key: Any, reuse: bool) -> Any:
-        job = self._register_job(plan, job_key, pre_scheduled=False, reuse=reuse)
+    def _run_barrier(
+        self, plan: PhysicalPlan, job_key: Any, reuse: bool, source: JobSource = None
+    ) -> Any:
+        job = self._register_job(
+            plan,
+            job_key,
+            pre_scheduled=False,
+            reuse=reuse,
+            inputs=self._resolve_inputs(plan, source),
+        )
         self.metrics.counter(COUNT_BATCHES_EXECUTED).add(1)
         for stage in plan.stages:
             with self._lock:
@@ -854,6 +923,7 @@ class Driver:
             map_locations={d: job.map_status[d] for d in deps},
             map_epochs={d: job.map_epochs.get(d, 0) for d in deps},
             trace_ctx=self._stage_ctx(job, stage_index),
+            input=self._task_input(job, stage_index, partition),
         )
         job.task_locations[(stage_index, partition)] = worker_id
         job.task_started[(stage_index, partition)] = self.clock.now()

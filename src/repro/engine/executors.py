@@ -9,7 +9,7 @@ cares where compute happens.  A backend supplies exactly two operations:
   writes, downstream notification, and reporting, so it must stay in the
   worker's process);
 * :meth:`ExecutorBackend.run_compute` — run the pure compute core of one
-  task (source/merge → pipeline → bucketing/action) and return a
+  task (input/merge → pipeline → bucketing/action) and return a
   :class:`ComputeOutcome`.
 
 Backends (selected via ``EngineConf.executor.backend``):
@@ -26,8 +26,10 @@ Backends (selected via ``EngineConf.executor.backend``):
     (:mod:`repro.dag.serde`), is cached child-side by token so a group of
     tasks ships each stage once (the same amortization group scheduling
     gives launch RPCs, §3.1), and results return as pickled outcomes the
-    worker turns into ``TaskReport``s.  Trace contexts ride the payload
-    both ways, Envelope-style, so spans survive the process boundary.
+    worker turns into ``TaskReport``s.  The stage is code only; a source
+    task's records ride in the per-task payload.  Trace contexts ride the
+    payload both ways, Envelope-style, so spans survive the process
+    boundary.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from queue import SimpleQueue
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.common.config import EngineConf
-from repro.common.errors import SerializationError
+from repro.common.errors import PlanError, SerializationError
 from repro.dag.plan import StageSpec
 from repro.dag.serde import dumps_closure, loads_closure
 from repro.obs.trace import SpanContext
@@ -74,6 +76,8 @@ class ComputeRequest:
     # ``fetched[input_shuffle_index] = [bucket, ...]``; None for source
     # stages (inputs were pulled by the worker — transport stays parent-side).
     fetched: Optional[List[List[List]]]
+    # Source stages: the partition's records from the task descriptor.
+    input: Optional[List[Any]] = None
     compute_delay_s: float = 0.0
     # Active span context at submission; carried across the boundary and
     # echoed back so the worker can parent an exec span under it.
@@ -96,13 +100,23 @@ def run_stage_compute(
     stage: StageSpec,
     partition: int,
     fetched: Optional[List[List[List]]],
+    input: Optional[List[Any]] = None,
     compute_delay_s: float = 0.0,
 ) -> Tuple[str, Optional[Dict[int, List]], Any]:
     """The backend-independent compute core of one task: evaluate the
     stage's closures over one partition.  Runs in the worker's process
-    for inline/thread backends and inside a pool child for process."""
-    if stage.source_fn is not None:
-        records = iter(stage.source_fn(partition))
+    for inline/thread backends and inside a pool child for process.  A
+    source stage reads ``input`` (the driver resolved it; the stage's
+    ``source_fn`` is never called here), any other stage ``fetched``."""
+    if stage.is_source:
+        if input is None:
+            raise PlanError(
+                f"source task for partition {partition} of stage "
+                f"{stage.stage_index} was launched without its input"
+            )
+        # An iterator, never the list itself: the driver keeps that list
+        # for re-runs and speculative copies of this task.
+        records = iter(input)
     else:
         assert stage.input_merge is not None
         records = stage.input_merge(partition, fetched)
@@ -154,7 +168,11 @@ class InlineExecutor(ExecutorBackend):
 def _local_outcome(request: ComputeRequest, backend: str) -> ComputeOutcome:
     start = time.perf_counter()
     kind, buckets, result = run_stage_compute(
-        request.stage, request.partition, request.fetched, request.compute_delay_s
+        request.stage,
+        request.partition,
+        request.fetched,
+        request.input,
+        request.compute_delay_s,
     )
     return ComputeOutcome(
         kind=kind,
@@ -257,11 +275,11 @@ def _child_run(token: str, stage_blob: Optional[bytes], task_blob: bytes) -> byt
             _child_stage_cache.clear()
         stage = loads_closure(stage_blob)
         _child_stage_cache[token] = stage
-    partition, fetched, compute_delay_s, trace_ctx = pickle.loads(task_blob)
+    partition, fetched, input, compute_delay_s, trace_ctx = pickle.loads(task_blob)
     start = time.perf_counter()
     try:
         kind, buckets, result = run_stage_compute(
-            stage, partition, fetched, compute_delay_s
+            stage, partition, fetched, input, compute_delay_s
         )
         elapsed = time.perf_counter() - start
         try:
@@ -295,9 +313,12 @@ class ProcessExecutor(ExecutorBackend):
 
     The expensive part of IPC — serializing the stage closure — is paid
     once per stage, not once per task: the parent caches the pickled
-    stage under a token, children cache the deserialized stage, and task
-    payloads after the first carry only the token (with a miss-retry for
-    pool siblings that have not seen it)."""
+    stage (code only) under a token, children cache the deserialized
+    stage, and task payloads after the first carry only the token and
+    the task's input (with a miss-retry for pool siblings that have not
+    seen it).  Every batch of a stream shares its group's stage objects
+    (and, over tcp, the worker's one decoded plan), so a stream
+    serializes each stage at most once per group."""
 
     name = "process"
 
@@ -334,7 +355,9 @@ class ProcessExecutor(ExecutorBackend):
                 return entry
             if len(self._stages) >= _PARENT_CACHE_LIMIT:
                 self._stages.clear()
-            blob = dumps_closure(stage, context=f"stage {stage.stage_index} payload")
+            blob = dumps_closure(
+                stage.code_only(), context=f"stage {stage.stage_index} payload"
+            )
             self._token_seq += 1
             entry = _StageEntry(stage, f"{self.worker_id}:{self._token_seq}", blob)
             self._stages[id(stage)] = entry
@@ -344,8 +367,8 @@ class ProcessExecutor(ExecutorBackend):
     def run_compute(self, request: ComputeRequest) -> ComputeOutcome:
         entry = self._stage_entry(request.stage)
         task_blob = dumps_closure(
-            (request.partition, request.fetched, request.compute_delay_s,
-             request.trace_ctx),
+            (request.partition, request.fetched, request.input,
+             request.compute_delay_s, request.trace_ctx),
             context=f"task inputs for partition {request.partition}",
         )
         pool = self._ensure_pool()

@@ -8,12 +8,16 @@ A :class:`TaskDescriptor` is what the driver "serializes and launches"
 * ``downstream`` — for map tasks, which worker hosts each reduce
   partition, so completion notifications go worker-to-worker without
   driver involvement (§3.2).
+
+A source task's records travel in its descriptor (``input``), the way a
+reduce task's buckets arrive as fetched data: the plan a descriptor points
+at is code only, so one plan serves every batch of a group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.prescheduling import DepKey
 from repro.dag.plan import PhysicalPlan
@@ -66,6 +70,9 @@ class TaskDescriptor:
     # Trace context of the owning stage span: the driver -> worker half of
     # end-to-end trace propagation (None when tracing is disabled).
     trace_ctx: Optional[SpanContext] = None
+    # Source tasks: this partition's records, resolved by the driver when
+    # the job was submitted (None for tasks that read a shuffle).
+    input: Optional[List[Any]] = None
 
     @property
     def stage(self):

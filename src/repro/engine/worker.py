@@ -512,15 +512,16 @@ class Worker:
 
     def _execute(self, desc: TaskDescriptor) -> TaskReport:
         """Run one task attempt, split into the backend-facing protocol:
-        transport-side input fetch (parent process), the pure compute core
-        (delegated to the executor backend), then transport-side output
-        publication and reporting."""
+        transport-side input fetch (parent process; a source task's input
+        came in its descriptor), the pure compute core (delegated to the
+        executor backend), then transport-side output publication and
+        reporting."""
         stage = desc.stage
         job_id = desc.task_id.job_id
         partition = desc.task_id.partition
 
         fetched = None
-        if stage.source_fn is None:
+        if not stage.is_source:
             fetched = self._fetch_inputs(desc)
 
         request = ComputeRequest(
@@ -528,6 +529,7 @@ class Worker:
             stage=stage,
             partition=partition,
             fetched=fetched,
+            input=desc.input,
             compute_delay_s=self.compute_delay_per_task_s,
             trace_ctx=self.tracer.current() if self.tracer.enabled else None,
         )

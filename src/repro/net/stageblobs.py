@@ -9,6 +9,11 @@ per-launch deltas; this module applies that idea to the wire:
 * the sender serializes each plan **once** (memoized by object identity),
   names it by a content digest, and ships the blob to each peer at most
   once — later launches to that peer carry only the digest token;
+* a blob is code only: it is serialized without any stage's source
+  function, and a source task's records ride in its descriptor.  A
+  streaming context compiles one plan per output operation per group over
+  a placeholder source, so the blob is byte-identical in every group and
+  each worker loads it once for the life of the stream;
 * the receiver caches ``digest -> deserialized plan`` and rebuilds full
   :class:`~repro.engine.task.TaskDescriptor` objects locally;
 * a receiver that lost its cache (restart, eviction) answers
@@ -37,9 +42,10 @@ from repro.dag.serde import dumps_closure, loads_closure
 from repro.engine.task import TaskDescriptor
 
 
-# Plans cached per side (sender memo and receiver cache).  A streaming
-# job repeats one plan per output operator, so a few entries already hit
-# at steady state; 64 leaves room for a sweep of distinct plans.
+# Plans cached per side (sender memo and receiver cache).  A stream's
+# blobs are the same in every group, so a streaming job needs one entry
+# per output operation, however many batches it runs; 64 leaves room for
+# a sweep of distinct plans.
 CACHE_ENTRIES = 64
 
 
@@ -51,7 +57,8 @@ def blob_digest(blob: bytes) -> str:
 @dataclass
 class WireTaskDescriptor:
     """A :class:`TaskDescriptor` with the plan replaced by its digest —
-    the per-task fields that actually differ between launches."""
+    the per-task fields that actually differ between launches, a source
+    task's records included."""
 
     task_id: Any
     plan_digest: str
@@ -61,6 +68,7 @@ class WireTaskDescriptor:
     map_locations: Dict = field(default_factory=dict)
     map_epochs: Dict = field(default_factory=dict)
     trace_ctx: Any = None
+    input: Optional[List[Any]] = None
 
 
 @dataclass
@@ -94,7 +102,7 @@ class StageBlobSender:
                 # steady state one streaming plan repeats; sweeps of many
                 # distinct plans gain nothing from LRU bookkeeping.
                 self._blobs.clear()
-            blob = dumps_closure(plan, context="stage blob")
+            blob = dumps_closure(plan.code_only(), context="stage blob")
             entry = (plan, blob_digest(blob), blob)
             self._blobs[id(plan)] = entry
         return entry[1], entry[2]
@@ -129,6 +137,7 @@ class StageBlobSender:
                         map_locations=desc.map_locations,
                         map_epochs=desc.map_epochs,
                         trace_ctx=desc.trace_ctx,
+                        input=desc.input,
                     )
                 )
                 if digest in digests:
@@ -201,6 +210,7 @@ class StageBlobReceiver:
                     map_locations=w.map_locations,
                     map_epochs=w.map_epochs,
                     trace_ctx=w.trace_ctx,
+                    input=w.input,
                 )
                 for w in launch.descriptors
             ]

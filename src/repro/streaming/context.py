@@ -3,8 +3,11 @@
 Mirrors the Drizzle port of Spark Streaming (§4): instead of generating
 and scheduling one job per micro-batch, the generator submits *a group of
 micro-batches at once*, sized by the driver's current group size (which
-the §3.4 AIMD tuner may be adjusting live).  Output callbacks — sink
-commits and state updates — always run in batch order.
+the §3.4 AIMD tuner may be adjusting live).  The DAG is static, so each
+output operation's plan is compiled once per group, over a placeholder
+source, and shared by the group's jobs; each job brings its batch's input
+separately.  Output callbacks — sink commits and state updates — always
+run in batch order.
 
 Checkpoints are synchronous, taken at group boundaries (§3.3);
 ``restore_and_replay`` rolls state and source back to the last checkpoint
@@ -17,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.chaos.injector import chaos_hit
 from repro.chaos.plan import (
@@ -34,6 +37,7 @@ from repro.common.metrics import (
     COUNT_CHECKPOINTS,
     COUNT_HA_RECOVERIES,
 )
+from repro.dag.dataset import SourceDataset, stream_input
 from repro.dag.plan import PhysicalPlan, collect_action, compile_plan
 from repro.engine.cluster import LocalCluster
 from repro.obs.names import SPAN_CHECKPOINT, SPAN_RECOVERY
@@ -225,22 +229,36 @@ class StreamingContext:
     def _run_group(self, batch_indices: range, reuse: bool = True) -> None:
         self._driver_chaos("mid_group")
         start = self.clock.now()
+        # One plan per output operation for the whole group (§3.1: the
+        # DAG is static).  Its source is a placeholder, so the plan holds
+        # no batch's input and its stage blob is the same in every group.
+        placeholder = SourceDataset(stream_input, self.source.num_partitions)
+        group_plans = [
+            compile_plan(
+                op.stream.dataset_over(placeholder),
+                collect_action(),
+                map_side_combine=self.conf.map_side_combine,
+            )
+            for op in self.output_ops
+        ]
         plans: List[PhysicalPlan] = []
         keys: List[Any] = []
+        sources: List[Callable[[int], Iterable[Any]]] = []
         for batch_index in batch_indices:
             # Planning the batch pins its source offsets (sticky replay).
-            self.source.plan_batch(batch_index)
-            for op in self.output_ops:
-                dataset = op.stream.dataset_for(batch_index)
-                plans.append(
-                    compile_plan(
-                        dataset,
-                        collect_action(),
-                        map_side_combine=self.conf.map_side_combine,
-                    )
+            batch = self.source.dataset_for(self.source.plan_batch(batch_index))
+            if batch.num_partitions != placeholder.num_partitions:
+                raise StreamingError(
+                    f"batch {batch_index} has {batch.num_partitions} partitions, "
+                    f"the source declares {placeholder.num_partitions}"
                 )
+            for op, plan in zip(self.output_ops, group_plans):
+                plans.append(plan)
                 keys.append((op.index, batch_index))
-        results = self.driver.run_group(plans, job_keys=keys, reuse=reuse)
+                sources.append(batch.partition_fn)
+        results = self.driver.run_group(
+            plans, job_keys=keys, reuse=reuse, sources=sources
+        )
         wall = self.clock.now() - start
         telemetry = getattr(self.cluster, "telemetry", None)
         if telemetry is not None:

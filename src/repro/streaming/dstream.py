@@ -4,8 +4,9 @@ A :class:`DStream` describes a transformation pipeline applied to every
 micro-batch.  Nothing runs until an *output operation*
 (``foreach_batch`` / ``sink_to`` / ``update_state``) registers the stream
 with its :class:`~repro.streaming.context.StreamingContext`; the context's
-job generator then compiles one job per (output op, batch) and submits
-them in groups (§3.1, §4).
+job generator then compiles one plan per output op per group, over a
+placeholder source, and submits one job per (output op, batch) in groups
+(§3.1, §4).
 """
 
 from __future__ import annotations
@@ -28,6 +29,13 @@ class DStream:
         self.ctx = ctx
 
     def dataset_for(self, batch_index: int) -> Dataset:
+        """Batch ``batch_index``'s dataset (plans the batch's input)."""
+        source = self.ctx.source
+        return self.dataset_over(source.dataset_for(source.plan_batch(batch_index)))
+
+    def dataset_over(self, source: Dataset) -> Dataset:
+        """This stream's transformations applied to ``source``, the
+        dataset standing for one batch's input."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -123,8 +131,8 @@ class _TransformedDStream(DStream):
         self.parent = parent
         self.fn = fn
 
-    def dataset_for(self, batch_index: int) -> Dataset:
-        return self.fn(self.parent.dataset_for(batch_index))
+    def dataset_over(self, source: Dataset) -> Dataset:
+        return self.fn(self.parent.dataset_over(source))
 
 
 class SourceDStream(DStream):
@@ -133,6 +141,5 @@ class SourceDStream(DStream):
     def __init__(self, ctx: "StreamingContext"):
         super().__init__(ctx)
 
-    def dataset_for(self, batch_index: int) -> Dataset:
-        batch_range = self.ctx.source.plan_batch(batch_index)
-        return self.ctx.source.dataset_for(batch_range)
+    def dataset_over(self, source: Dataset) -> Dataset:
+        return source

@@ -5,10 +5,14 @@ offset-addressed, replayable log.  Batch *b* of a stream reads a
 deterministic offset range from each partition, which gives the engine
 deterministic replay (the foundation of micro-batch fault tolerance).
 
-Following §4 of the paper, offset *metadata is computed on the workers*:
-the per-batch Dataset's ``source_fn`` closes over the log and the batch
-index, and each worker task resolves its own partition's offsets — the
-centralized driver never touches per-partition metadata.
+A batch's Dataset is a leaf whose ``partition_fn`` reads that batch's
+records.  The driver calls it when it submits the batch's jobs and each
+source task's descriptor carries its partition's records; the plan the
+workers receive is code only and the same for every batch.  §4 of the
+paper computes offset metadata on the workers instead, because there the
+records sit in an external log (Kafka) any worker can read; here the log
+lives in the driver's process, so the driver is the one place that can
+read it.
 """
 
 from __future__ import annotations
@@ -142,8 +146,9 @@ class LogSource(StreamSource):
         log = self.log
 
         def partition_fn(partition: int) -> List[Any]:
-            # Executed on the worker: per-partition offset metadata is
-            # resolved here, not in the driver (§4).
+            # Called by the driver when it submits the batch: the log
+            # lives in its process, and the records travel to the
+            # workers in the source tasks' descriptors.
             return log.read(
                 partition, batch_range.starts[partition], batch_range.ends[partition]
             )

@@ -180,7 +180,7 @@ class TestStageTimeout:
     def test_wait_job_deadline_names_stalled_stage(self):
         with LocalCluster(make_conf()) as cluster:
             plan = compile_plan(
-                SourceDataset(lambda i: time.sleep(1.0) or [i], 2),
+                SourceDataset(lambda i: [i], 2).map(lambda x: time.sleep(1.0) or x),
                 collect_action(),
             )
             job_ids = cluster.driver.submit_group([plan])
@@ -197,7 +197,7 @@ class TestStageTimeout:
     def test_conf_stage_timeout_applies_without_explicit_timeout(self):
         with LocalCluster(make_conf(stage_timeout_s=0.05)) as cluster:
             plan = compile_plan(
-                SourceDataset(lambda i: time.sleep(0.8) or [i], 2),
+                SourceDataset(lambda i: [i], 2).map(lambda x: time.sleep(0.8) or x),
                 collect_action(),
             )
             job_ids = cluster.driver.submit_group([plan])

@@ -27,13 +27,14 @@ def shuffle_plan(n=20, parts=4, reds=2):
 class TestJobLifecycle:
     def test_wait_job_timeout(self):
         with make_cluster(SchedulingMode.DRIZZLE) as cluster:
-            # Submit a job that blocks on a slow source.
+            # Submit a job whose tasks block on a slow step.
             import time
 
             from repro.dag.dataset import SourceDataset
 
             plan = compile_plan(
-                SourceDataset(lambda i: time.sleep(1.0) or [i], 2), collect_action()
+                SourceDataset(lambda i: [i], 2).map(lambda x: time.sleep(1.0) or x),
+                collect_action(),
             )
             job_ids = cluster.driver.submit_group([plan])
             with pytest.raises(ReproError, match="did not finish"):
@@ -173,3 +174,92 @@ class TestCarryOver:
             )
             second = cluster.driver.wait_job(second_ids[0])
             assert second == first
+
+
+class TestSourceInputAcrossAttempts:
+    """The driver reads a source task's records once, when the job is
+    submitted; a re-run after a worker loss and a speculative clone carry
+    the same records as the first attempt."""
+
+    @staticmethod
+    def record_launches(cluster):
+        launched = []
+        for worker in cluster.workers.values():
+
+            def recording(descriptors, driver_epoch=None, launch=worker.launch_tasks):
+                launched.extend(descriptors)
+                return launch(descriptors, driver_epoch=driver_epoch)
+
+            worker.launch_tasks = recording
+        return launched
+
+    @staticmethod
+    def stalled_plan(delay_s):
+        import time
+
+        def stall(_partition, records):
+            time.sleep(delay_s)
+            return records
+
+        ds = (
+            parallelize(range(24), 6)
+            .map_partitions(stall)
+            .map(lambda x: (x % 2, x))
+            .reduce_by_key(lambda a, b: a + b, 2)
+        )
+        return compile_plan(ds, dict_action())
+
+    @staticmethod
+    def source_attempts(launched):
+        by_partition = {}
+        for desc in launched:
+            if desc.task_id.stage_index == 0:
+                by_partition.setdefault(desc.task_id.partition, []).append(desc)
+        return by_partition
+
+    def test_rerun_after_worker_loss_carries_the_first_input(self):
+        with make_cluster(SchedulingMode.DRIZZLE, workers=3, slots=1) as cluster:
+            launched = self.record_launches(cluster)
+            job_ids = cluster.driver.submit_group([self.stalled_plan(0.2)])
+            cluster.kill_worker("worker-1")  # its map tasks are mid-stall
+            result = cluster.driver.wait_job(job_ids[0])
+            assert result == {0: sum(range(0, 24, 2)), 1: sum(range(1, 24, 2))}
+            attempts = self.source_attempts(launched)
+            assert sorted(attempts) == list(range(6))
+            reruns = [descs for descs in attempts.values() if len(descs) > 1]
+            assert reruns, "the loss re-ran no source task"
+            for partition, descs in attempts.items():
+                assert descs[0].input == list(range(24))[partition::6]
+                for later in descs[1:]:
+                    assert later.task_id.attempt > descs[0].task_id.attempt
+                    assert later.input == descs[0].input
+
+    def test_speculative_clone_carries_the_first_input(self):
+        from repro.common.config import SpeculationConf
+        from repro.common.metrics import COUNT_SPECULATIVE
+
+        speculation = SpeculationConf(
+            enabled=True,
+            check_interval_s=0.02,
+            multiplier=3.0,
+            min_runtime_s=0.05,
+            min_completed_fraction=0.5,
+        )
+        with make_cluster(
+            SchedulingMode.DRIZZLE, workers=3, slots=2, speculation=speculation
+        ) as cluster:
+            cluster.workers["worker-0"].compute_delay_per_task_s = 0.8
+            launched = self.record_launches(cluster)
+            result = cluster.run_plan(self.stalled_plan(0.0))
+            assert result == {0: sum(range(0, 24, 2)), 1: sum(range(1, 24, 2))}
+            assert cluster.metrics.counter(COUNT_SPECULATIVE).value >= 1
+            clones = [
+                descs
+                for descs in self.source_attempts(launched).values()
+                if len(descs) > 1
+            ]
+            assert clones, "no source task was cloned"
+            for descs in clones:
+                assert len({d.task_id.attempt for d in descs}) == len(descs)
+                for clone in descs[1:]:
+                    assert clone.input == descs[0].input

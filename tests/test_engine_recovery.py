@@ -23,11 +23,18 @@ from engine_test_utils import ALL_TRANSPORTS, make_cluster
 
 
 def slow_source(num_partitions, delay_s=0.15, items_per_partition=10):
+    """Each partition's task stalls ``delay_s`` on its worker.  The stall
+    sits in the first pipeline step: the driver reads the source itself
+    when the job is submitted."""
+
     def partition_fn(index):
-        time.sleep(delay_s)
         return list(range(index * items_per_partition, (index + 1) * items_per_partition))
 
-    return SourceDataset(partition_fn, num_partitions)
+    def stall(_partition, records):
+        time.sleep(delay_s)
+        return records
+
+    return SourceDataset(partition_fn, num_partitions).map_partitions(stall)
 
 
 def keyed_sum_expected(total_items, num_keys):
@@ -128,8 +135,8 @@ class TestParallelRecovery:
 
 
 class TestIntermediateReuse:
-    # Both tests pinned inproc: the source closure counts invocations in
-    # a captured list guarded by a captured lock — observable only while
+    # Both tests pinned inproc: the map step counts invocations in a
+    # captured list guarded by a captured lock — observable only while
     # driver and workers share memory.
     def test_resubmission_reuses_surviving_map_outputs(self):
         """Re-submitting the same job_key with reuse=True must skip map
@@ -137,15 +144,19 @@ class TestIntermediateReuse:
         calls = []
         lock = threading.Lock()
 
-        def source(index):
+        def counted(record):
             with lock:
-                calls.append(index)
-            return [(index % 2, index)]
+                calls.append(record)
+            return record
 
         with make_cluster(
             SchedulingMode.DRIZZLE, workers=2, slots=2, transport="inproc"
         ) as cluster:
-            ds = SourceDataset(source, 4).reduce_by_key(lambda a, b: a + b, 2)
+            ds = (
+                SourceDataset(lambda index: [(index % 2, index)], 4)
+                .map(counted)
+                .reduce_by_key(lambda a, b: a + b, 2)
+            )
             plan = compile_plan(ds, dict_action())
             first = cluster.run_plan(plan, job_key="batch-7")
             n_first = len(calls)
@@ -158,15 +169,19 @@ class TestIntermediateReuse:
         calls = []
         lock = threading.Lock()
 
-        def source(index):
+        def counted(record):
             with lock:
-                calls.append(index)
-            return [(index % 2, index)]
+                calls.append(record)
+            return record
 
         with make_cluster(
             SchedulingMode.DRIZZLE, workers=2, slots=2, transport="inproc"
         ) as cluster:
-            ds = SourceDataset(source, 4).reduce_by_key(lambda a, b: a + b, 2)
+            ds = (
+                SourceDataset(lambda index: [(index % 2, index)], 4)
+                .map(counted)
+                .reduce_by_key(lambda a, b: a + b, 2)
+            )
             plan = compile_plan(ds, dict_action())
             cluster.run_plan(plan, job_key="batch-7")
             n_first = len(calls)
@@ -175,7 +190,7 @@ class TestIntermediateReuse:
 
 
 class TestElasticity:
-    # Pinned inproc: sources record executing-thread names into a
+    # Pinned inproc: map steps record executing-thread names into a
     # captured set (shared-memory observation).
     def test_added_worker_used_by_next_group(self):
         with make_cluster(
@@ -185,12 +200,12 @@ class TestElasticity:
             seen = set()
             lock = threading.Lock()
 
-            def source(index):
+            def where(record):
                 with lock:
                     seen.add(threading.current_thread().name.split("-slot")[0])
-                return [index]
+                return record
 
-            ds = SourceDataset(source, 6)
+            ds = SourceDataset(lambda index: [index], 6).map(where)
             out = cluster.collect(ds)
             assert sorted(out) == list(range(6))
             assert new_id in cluster.alive_workers()
@@ -204,12 +219,12 @@ class TestElasticity:
             seen = set()
             lock = threading.Lock()
 
-            def source(index):
+            def where(record):
                 with lock:
                     seen.add(threading.current_thread().name.split("-slot")[0])
-                return [index]
+                return record
 
-            out = cluster.collect(SourceDataset(source, 6))
+            out = cluster.collect(SourceDataset(lambda index: [index], 6).map(where))
             assert sorted(out) == list(range(6))
             assert not any(name.startswith("worker-1") for name in seen)
 

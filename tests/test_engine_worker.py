@@ -50,10 +50,18 @@ def wait_for(predicate, timeout=5.0):
     return False
 
 
+def source_input(plan, partition):
+    """What the driver puts in a source task's descriptor."""
+    return list(plan.stages[0].source_fn(partition))
+
+
 def narrow_descriptor(job_id=0, partition=0, data=(1, 2, 3)):
     plan = compile_plan(parallelize(list(data), 2).map(lambda x: x * 2), collect_action())
     return TaskDescriptor(
-        task_id=TaskId(job_id, 0, partition), plan=plan, pre_scheduled=True
+        task_id=TaskId(job_id, 0, partition),
+        plan=plan,
+        pre_scheduled=True,
+        input=source_input(plan, partition),
     )
 
 
@@ -73,7 +81,14 @@ class TestTaskExecution:
             parallelize([1], 1).map(lambda x: 1 // 0), collect_action()
         )
         worker.launch_tasks(
-            [TaskDescriptor(task_id=TaskId(0, 0, 0), plan=plan, pre_scheduled=True)]
+            [
+                TaskDescriptor(
+                    task_id=TaskId(0, 0, 0),
+                    plan=plan,
+                    pre_scheduled=True,
+                    input=source_input(plan, 0),
+                )
+            ]
         )
         assert wait_for(lambda: len(driver.reports) == 1)
         assert not driver.reports[0].succeeded
@@ -113,6 +128,7 @@ class TestLocalScheduler:
             plan=plan,
             pre_scheduled=True,
             downstream={0: "w0"},
+            input=source_input(plan, 0),
         )
         worker.launch_tasks([map_desc])
         assert wait_for(lambda: len(driver.reports) == 2)

@@ -364,6 +364,7 @@ class TestStageBlobs:
             map_locations={(7, 0): "w1"},
             map_epochs={(7, 0): 2, (7, 1): 1},
             trace_ctx=SpanContext("trace-1", 9),
+            input=[("k", 1), ("k", 2)],
         )
         names = {f.name for f in dataclasses.fields(TaskDescriptor)} - {"plan"}
         # The fixture itself must not leave a field at its default.

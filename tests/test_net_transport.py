@@ -428,6 +428,21 @@ class TestTcpTransport:
         with pytest.raises(SerializationError, match="unpicklable"):
             hub.call("worker", "unpicklable")
 
+    def test_unpicklable_argument_names_the_rpc_payload(self, hub, peer):
+        """The error names what was being sent and a remedy that holds on
+        every path — not the process executor or its thread fallback."""
+        from repro.common.errors import SerializationError
+
+        peer.register("worker", _Endpoint())
+        with pytest.raises(SerializationError) as exc:
+            hub.call("worker", "add", threading.Lock(), 1)
+        text = str(exc.value)
+        assert text.startswith("cannot serialize rpc 'add' payload: ")
+        assert "lock" in text
+        assert "process executor" not in text
+        assert "thread backend" not in text
+        assert "create handles (locks, files, sockets) inside the function body" in text
+
     def test_peer_server_death_is_worker_lost_and_cached(self, hub, peer):
         peer.register("worker", _Endpoint())
         assert hub.call("worker", "add", 1, 1) == 2

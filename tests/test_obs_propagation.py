@@ -58,12 +58,19 @@ def keyed_plan(num_partitions=4, num_reducers=2, items=10, offset=0):
 
 
 def slow_keyed_plan(num_partitions=8, delay_s=0.1):
+    """Each map task stalls ``delay_s`` on its worker (in its pipeline:
+    the driver reads the source when the job is submitted)."""
+
     def partition_fn(index):
-        time.sleep(delay_s)
         return list(range(index * 10, (index + 1) * 10))
+
+    def stall(_partition, records):
+        time.sleep(delay_s)
+        return records
 
     ds = (
         SourceDataset(partition_fn, num_partitions)
+        .map_partitions(stall)
         .map(lambda x: (x % 2, x))
         .reduce_by_key(lambda a, b: a + b, 2)
     )

@@ -3,12 +3,13 @@ checkpointing, and exactly-once recovery (§3.3, §4)."""
 
 import pytest
 
-from repro.common.config import EngineConf, SchedulingMode, TunerConf
+from repro.common.config import EngineConf, SchedulingMode, TransportConf, TunerConf
 from repro.common.errors import StreamingError
+from repro.common.metrics import COUNT_STAGE_CACHE_HIT, COUNT_STAGE_CACHE_MISS
 from repro.engine.cluster import LocalCluster
 from repro.streaming.context import StreamingContext
 from repro.streaming.sinks import AppendSink, IdempotentSink
-from repro.streaming.sources import FixedBatchSource, LogSource, RecordLog
+from repro.streaming.sources import FixedBatchSource, LogSource, RateSource, RecordLog
 
 WORDS = ["a", "b", "c", "a", "b", "a"]
 
@@ -253,6 +254,75 @@ class TestCheckpointingAndRecovery:
             killer.start()
             ctx.run_batches(6)
             assert dict(store.items()) == expected_counts(batches)
+
+
+class TestOverTcp:
+    """Streams whose every launch crosses a real socket.  A stage blob is
+    code only and each job's input rides in its descriptors, so a
+    LogSource (its RecordLog holds a lock) streams over tcp, and after
+    the first group every launch is token-only."""
+
+    @staticmethod
+    def tcp_conf(**kwargs):
+        conf = make_conf(**kwargs)
+        conf.transport = TransportConf(backend="tcp")
+        return conf
+
+    def test_log_source_over_tcp_matches_inproc(self):
+        def run(conf):
+            cluster = LocalCluster(conf)
+            log = RecordLog(4)
+            ctx = StreamingContext(cluster, LogSource(log), batch_interval_s=0.05)
+            with cluster:
+                store = ctx.state_store("counts")
+                ctx.stream().map(lambda w: (w, 1)).reduce_by_key(
+                    lambda a, b: a + b, 3
+                ).update_state(store, merge=lambda a, b: a + b)
+                for round_index in range(3):
+                    log.append_round_robin(
+                        [WORDS[(round_index + i) % 6] for i in range(30 + round_index)]
+                    )
+                    ctx.run_batches(3)
+                return dict(store.items())
+
+        inproc = make_conf(group_size=3)
+        inproc.transport = TransportConf(backend="inproc")
+        expected = run(inproc)
+        assert sum(expected.values()) == 30 + 31 + 32
+        assert run(self.tcp_conf(group_size=3)) == expected
+
+    def test_stage_blob_cache_hits_after_the_first_group(self):
+        conf = self.tcp_conf(group_size=4, workers=2)
+        cluster = LocalCluster(conf)
+        source = RateSource(
+            lambda b, i: (f"k{i % 7}", b), records_per_batch=40, num_partitions=4
+        )
+        ctx = StreamingContext(cluster, source, batch_interval_s=0.05)
+        with cluster:
+            store = ctx.state_store("sums")
+            ctx.stream().reduce_by_key(lambda a, b: a + b, 2).update_state(
+                store, merge=lambda a, b: a + b
+            )
+            ctx.run_batches(4)  # one group: each worker is sent the blob once
+            misses = cluster.metrics.counter(COUNT_STAGE_CACHE_MISS).value
+            assert misses == len(cluster.workers)
+            ctx.run_batches(40)
+            assert cluster.metrics.counter(COUNT_STAGE_CACHE_MISS).value == misses
+            assert cluster.metrics.counter(COUNT_STAGE_CACHE_HIT).value == 10 * len(
+                cluster.workers
+            )
+            for worker in cluster.workers.values():
+                assert len(worker.transport._stage_receiver) == len(ctx.output_ops)
+            expected = {}
+            for b in range(44):
+                for i in range(40):
+                    expected[f"k{i % 7}"] = expected.get(f"k{i % 7}", 0) + b
+            assert dict(store.items()) == expected
+            if conf.executor.backend == "process":
+                # Every batch runs the worker's one decoded plan, so the
+                # executor serializes each stage once, not once per batch.
+                for worker in cluster.workers.values():
+                    assert 1 <= worker._backend._token_seq <= 2
 
 
 class TestTunerIntegration:

@@ -74,7 +74,7 @@ class TestLogSource:
         with pytest.raises(StreamingError):
             source.plan_batch(3)
 
-    def test_dataset_reads_on_worker(self):
+    def test_dataset_reads_the_planned_range(self):
         log = RecordLog(2)
         source = LogSource(log)
         log.append_round_robin(["a", "b", "c"])
