@@ -9,9 +9,10 @@ delay / task-transfer / compute breakdown of Figure 4(b).
 from __future__ import annotations
 
 import threading
+from array import array
 from collections import deque
 from contextlib import contextmanager
-from typing import Any, Deque, Dict, Iterator, List, Optional
+from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.common.clock import Clock, WallClock
 from repro.common.stats import percentile
@@ -136,14 +137,18 @@ def _summarize(samples: List[float]) -> Dict[str, float]:
 class Histogram:
     """A thread-safe sample accumulator with percentile summaries.
 
-    Samples are kept exactly (these are control-plane events — thousands,
-    not billions); ``summary()`` reports p50/p95/p99 via
+    Samples are kept exactly and without bound, packed as doubles: 8
+    bytes each, not a boxed float.  A long stream records a few dozen per
+    micro-batch, so a day's run holds millions.  Readers address samples
+    by index ("everything after the i-th"), so nothing is ever evicted;
+    ``read`` hands out a bounded slice without copying the rest.
+    ``summary()`` reports p50/p95/p99 via
     :func:`repro.common.stats.percentile`.
     """
 
     def __init__(self, name: str):
         self.name = name
-        self._samples: List[float] = []
+        self._samples = array("d")
         self._lock = threading.Lock()
 
     def record(self, sample: float) -> None:
@@ -152,14 +157,20 @@ class Histogram:
 
     def snapshot(self) -> List[float]:
         with self._lock:
-            return list(self._samples)
+            return self._samples.tolist()
+
+    def read(self, start: int, limit: int) -> Tuple[int, List[float]]:
+        """The number of samples recorded so far, and at most ``limit`` of
+        them from index ``start`` on — one consistent read."""
+        with self._lock:
+            return len(self._samples), self._samples[start : start + limit].tolist()
 
     def summary(self) -> Dict[str, float]:
         return _summarize(self.snapshot())
 
     def reset(self) -> None:
         with self._lock:
-            self._samples.clear()
+            self._samples = array("d")
 
     def __len__(self) -> int:
         with self._lock:

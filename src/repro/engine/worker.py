@@ -9,6 +9,8 @@ Each worker owns:
   activates them ("when all the data dependencies for an inactive task
   have been met, the local scheduler makes the task active and runs it").
 
+``drop_job`` is the one release point for all of a job's state here.
+
 Data flows worker-to-worker: map tasks write to their local block store
 and push a metadata notification to each downstream worker; the activated
 reduce task pulls the actual buckets (push-metadata, pull-data).
@@ -266,18 +268,27 @@ class Worker:
     def cancel_job(self, job_id: int, driver_epoch: Optional[int] = None) -> None:
         self._fence(driver_epoch)
         with self._lock:
-            self._pending.pop(job_id, None)
-            doomed = [k for k in self._parked if k[0] == job_id]
-            for k in doomed:
-                del self._parked[k]
-            if doomed:
-                self._tel_note_backlog()
+            self._unpark_job(job_id)
 
     def drop_job(self, job_id: int, driver_epoch: Optional[int] = None) -> None:
+        """Release everything this worker holds for the job: its blocks,
+        the locations it learned, its pending table and parked tasks."""
         self._fence(driver_epoch)
         self.blocks.drop_job(job_id)
         with self._lock:
+            self._unpark_job(job_id)
             self._dep_locations.pop(job_id, None)
+
+    def _unpark_job(self, job_id: int) -> None:
+        """Forget the job's pending table, parked tasks and their accept
+        stamps.  Caller holds ``self._lock``."""
+        self._pending.pop(job_id, None)
+        doomed = [k for k in self._parked if k[0] == job_id]
+        for k in doomed:
+            del self._parked[k]
+            self._accepted_at.pop(k[1], None)
+        if doomed:
+            self._tel_note_backlog()
 
     # ------------------------------------------------------------------
     # Worker -> worker RPCs

@@ -87,25 +87,31 @@ class StageBlobSender:
     def __init__(self, metrics: MetricsRegistry):
         self.metrics = metrics
         self._lock = threading.Lock()
-        # id(plan) -> (plan, digest, blob).  The plan reference keeps the
-        # id stable for the cache's lifetime (and guards against reuse of
-        # a collected object's id).
-        self._blobs: Dict[int, Tuple[Any, str, bytes]] = {}
+        # id(plan) -> (plan, digest).  The plan reference keeps the id
+        # stable for the cache's lifetime (and guards against reuse of a
+        # collected object's id).
+        self._plans: Dict[int, Tuple[Any, str]] = {}
+        # digest -> blob, one copy per content: a stream compiles a new
+        # plan object every group, and each one serializes to the same
+        # bytes.
+        self._blobs: Dict[str, bytes] = {}
         # peer -> digests that peer has acknowledged receiving.
         self._shipped: Dict[str, Set[str]] = {}
 
     def _entry(self, plan: Any) -> Tuple[str, bytes]:
-        entry = self._blobs.get(id(plan))
+        entry = self._plans.get(id(plan))
         if entry is None or entry[0] is not plan:
-            if len(self._blobs) >= CACHE_ENTRIES:
+            if len(self._plans) >= CACHE_ENTRIES:
                 # Wholesale eviction, like the process-backend cache: at
                 # steady state one streaming plan repeats; sweeps of many
                 # distinct plans gain nothing from LRU bookkeeping.
+                self._plans.clear()
                 self._blobs.clear()
             blob = dumps_closure(plan.code_only(), context="stage blob")
-            entry = (plan, blob_digest(blob), blob)
-            self._blobs[id(plan)] = entry
-        return entry[1], entry[2]
+            entry = (plan, blob_digest(blob))
+            self._plans[id(plan)] = entry
+            self._blobs.setdefault(entry[1], blob)
+        return entry[1], self._blobs[entry[1]]
 
     def encode(
         self,

@@ -125,14 +125,15 @@ class DeltaSnapshotter:
                     self._gauge_last[name] = value
             samples: Dict[str, List[float]] = {}
             for name in self.registry.histogram_names():
-                all_samples = self.registry.histogram(name).snapshot()
+                hist = self.registry.histogram(name)
                 cursor = self._hist_cursor.get(name, 0)
-                if cursor > len(all_samples):  # reset underneath us
+                count, fresh = hist.read(cursor, self.max_samples)
+                if cursor > count:  # reset underneath us
                     cursor = 0
-                fresh = all_samples[cursor : cursor + self.max_samples]
+                    fresh = hist.read(0, self.max_samples)[1]
                 self._hist_cursor[name] = cursor + len(fresh)
                 if fresh:
-                    samples[name] = [float(s) for s in fresh]
+                    samples[name] = fresh
             if not counters and not gauges and not samples:
                 return None
             self._seq += 1

@@ -223,3 +223,29 @@ class TestLocalScheduler:
         worker.notify_output(3, 0, 0, "w0")
         worker.drop_job(3)
         assert not worker.blocks.has_map_output(3, 0, 0)
+
+    def test_drop_job_releases_parked_tasks(self):
+        worker, driver, _ = make_worker()
+        worker.telemetry_metrics = MetricsRegistry()  # stamp accept times
+        plan = compile_plan(
+            parallelize([("a", 1)], 1).reduce_by_key(lambda a, b: a + b, 1),
+            collect_action(),
+        )
+        shuffle_id = plan.stages[0].output_shuffle.shuffle_id
+        worker.launch_tasks(
+            [
+                TaskDescriptor(
+                    task_id=TaskId(0, 1, 0),
+                    plan=plan,
+                    pre_scheduled=True,
+                    deps=frozenset({(shuffle_id, 0)}),
+                )
+            ]
+        )
+        worker.notify_output(0, shuffle_id, 1, "w0")  # not a dependency
+        assert worker._pending and worker._parked and worker._accepted_at
+        worker.drop_job(0)
+        assert worker._pending == {} and worker._parked == {}
+        assert worker._dep_locations == {} and worker._accepted_at == {}
+        worker.shutdown()
+        assert driver.reports == []

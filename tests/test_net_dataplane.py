@@ -378,6 +378,20 @@ class TestStageBlobs:
         for name in names:
             assert getattr(received, name) == getattr(sent, name), name
 
+    def test_plans_that_serialize_alike_share_one_blob(self):
+        """A stream compiles a new plan object every group; the sender
+        keeps one copy of their common blob, not one per group."""
+        sender = StageBlobSender(MetricsRegistry())
+        step = lambda x: x + 1  # noqa: E731 - one function for every plan
+        plans = [
+            compile_plan(parallelize([1, 2, 3], 2).map(step), collect_action())
+            for _ in range(10)
+        ]
+        launches = [sender.encode("w0", _descriptors(plan))[0] for plan in plans]
+        (digest,) = {d for launch in launches for d in launch.blobs}
+        assert len({id(launch.blobs[digest]) for launch in launches}) == 1
+        assert len(sender._blobs) == 1
+
     def test_per_peer_shipped_sets(self):
         sender = StageBlobSender(MetricsRegistry())
         plan = _plan()

@@ -466,7 +466,8 @@ class TestClusterPosts:
     def test_duplicate_delivery_is_harmless(self):
         """task_finished (stale-duplicate guard), notify_output and
         drop_job (idempotent) all delivered twice: results stay exact,
-        every batch is applied once, GC still empties the block stores."""
+        every batch is applied once, GC still empties the block stores,
+        and no duplicate notification brings a dropped job's tables back."""
         batches = [[f"k{(b + i) % 5}" for i in range(20)] for b in range(6)]
         expected: dict = {}
         for batch in batches:
@@ -483,7 +484,11 @@ class TestClusterPosts:
             assert dict(store.items()) == expected
             tasks = cluster.metrics.counter(COUNT_TASKS_LAUNCHED).value
             assert tasks == len(batches) * 7  # 4 map + 3 reduce, none re-run
-            assert all(len(w.blocks) == 0 for w in cluster.workers.values())
+            for worker in cluster.workers.values():
+                assert len(worker.blocks) == 0
+                assert worker._pending == {}
+                assert worker._parked == {}
+                assert worker._dep_locations == {}
 
     def test_drop_jobs_is_one_round_per_worker(self):
         with LocalCluster(self._conf()) as cluster:

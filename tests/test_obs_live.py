@@ -149,6 +149,41 @@ class TestDeltaSnapshotter:
         # start and the new sample ships from position 0.
         assert delta["samples"] == {HIST_TELEMETRY_QUEUE_DELAY: [2.0]}
 
+    def test_deltas_match_slicing_a_full_copy(self):
+        reg = MetricsRegistry()
+        snap = DeltaSnapshotter(reg, max_samples=7)
+        hist = reg.histogram(HIST_TELEMETRY_QUEUE_DELAY)
+        cursor, recorded = 0, 0
+        for burst in (3, 0, 12, 7, 1, 20, 0, 5):
+            for _ in range(burst):
+                hist.record(recorded * 0.25)
+                recorded += 1
+            delta = snap.delta()
+            expected = hist.snapshot()[cursor : cursor + 7]
+            cursor += len(expected)
+            shipped = (delta or {}).get("samples", {}).get(HIST_TELEMETRY_QUEUE_DELAY, [])
+            assert shipped == expected
+
+    def test_a_delta_copies_only_the_new_samples(self):
+        import tracemalloc
+
+        reg = MetricsRegistry()
+        snap = DeltaSnapshotter(reg, max_samples=250_000)
+        hist = reg.histogram(HIST_TELEMETRY_QUEUE_DELAY)
+        for i in range(200_000):
+            hist.record(i * 1e-6)
+        assert len(snap.delta()["samples"][HIST_TELEMETRY_QUEUE_DELAY]) == 200_000
+        for i in range(10):
+            hist.record(1.0 + i)
+        tracemalloc.start()
+        try:
+            delta = snap.delta()
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert delta["samples"][HIST_TELEMETRY_QUEUE_DELAY] == [1.0 + i for i in range(10)]
+        assert peak < 64 * 1024, peak  # a full copy is 200k pointers: 1.6 MB
+
     def test_sequence_numbers_increase(self):
         reg = MetricsRegistry()
         snap = DeltaSnapshotter(reg)
