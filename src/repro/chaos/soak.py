@@ -22,9 +22,10 @@ import random
 import sys
 import time
 import traceback
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.chaos.plan import FaultPlan
 from repro.common.config import (
@@ -67,6 +68,34 @@ class SeedResult:
     fault_log: List[str] = field(default_factory=list)
 
 
+@dataclass
+class FaultTally:
+    """The faults one seed's clusters fired.  The runner owns it, so the
+    count and log survive a workload that raises."""
+
+    injected: int = 0
+    log: List[str] = field(default_factory=list)
+
+    def harvest(self, cluster: Any) -> None:
+        """Add ``cluster``'s fired faults; call once, before it shuts down."""
+        if cluster.chaos is not None:
+            self.injected += cluster.chaos.injected_count
+            self.log += cluster.chaos.fault_log()
+
+
+@contextmanager
+def _cluster(conf: EngineConf, faults: FaultTally) -> Iterator[Any]:
+    """A LocalCluster whose faults land in ``faults`` however the block
+    ends."""
+    from repro.engine.cluster import LocalCluster
+
+    with LocalCluster(conf) as cluster:
+        try:
+            yield cluster
+        finally:
+            faults.harvest(cluster)
+
+
 def _make_conf(settings: SoakSettings, chaos: Optional[ChaosConf]) -> EngineConf:
     return EngineConf(
         num_workers=settings.workers,
@@ -105,17 +134,15 @@ def _word_batches(data_seed: int, num_batches: int, n: int = 40) -> List[List[st
 
 
 # ----------------------------------------------------------------------
-# Workloads.  Each returns (canonical_result, injected_count, fault_log);
-# canonical results are plain sorted structures so == is the diff.
+# Workloads.  Each returns its canonical result and adds the faults its
+# clusters fired to ``faults``; canonical results are plain sorted
+# structures so == is the diff.
 # ----------------------------------------------------------------------
-def _run_wordcount(
-    conf: EngineConf, batches: List[List[str]]
-) -> Tuple[Any, int, List[str]]:
+def _run_wordcount(conf: EngineConf, batches: List[List[str]], faults: FaultTally) -> Any:
     from repro.dag.dataset import parallelize
     from repro.dag.plan import collect_action, compile_plan
-    from repro.engine.cluster import LocalCluster
 
-    with LocalCluster(conf) as cluster:
+    with _cluster(conf, faults) as cluster:
         plans = [
             compile_plan(
                 parallelize(words, 4)
@@ -126,21 +153,14 @@ def _run_wordcount(
             )
             for words in batches
         ]
-        results = cluster.run_group(plans)
-        canonical = [sorted(r) for r in results]
-        injected = cluster.chaos.injected_count if cluster.chaos else 0
-        log = cluster.chaos.fault_log() if cluster.chaos else []
-    return canonical, injected, log
+        return [sorted(r) for r in cluster.run_group(plans)]
 
 
-def _run_streaming(
-    conf: EngineConf, batches: List[List[str]]
-) -> Tuple[Any, int, List[str]]:
-    from repro.engine.cluster import LocalCluster
+def _run_streaming(conf: EngineConf, batches: List[List[str]], faults: FaultTally) -> Any:
     from repro.streaming.context import StreamingContext
     from repro.streaming.sources import FixedBatchSource
 
-    with LocalCluster(conf) as cluster:
+    with _cluster(conf, faults) as cluster:
         source = FixedBatchSource(batches, 4)
         ctx = StreamingContext(cluster, source, batch_interval_s=0.05)
         store = ctx.state_store("counts")
@@ -149,15 +169,10 @@ def _run_streaming(
         )
         stream.update_state(store, merge=lambda a, b: a + b)
         ctx.run_batches(len(batches))
-        canonical = sorted(store.items())
-        injected = cluster.chaos.injected_count if cluster.chaos else 0
-        log = cluster.chaos.fault_log() if cluster.chaos else []
-    return canonical, injected, log
+        return sorted(store.items())
 
 
-def _run_elastic(
-    conf: EngineConf, batches: List[List[str]]
-) -> Tuple[Any, int, List[str]]:
+def _run_elastic(conf: EngineConf, batches: List[List[str]], faults: FaultTally) -> Any:
     """Streaming wordcount under a *scripted* resize schedule: scale out
     at boundary 1, back in at boundary 3, with the reduce partition count
     following the worker count.  The schedule is deterministic
@@ -167,11 +182,10 @@ def _run_elastic(
     fixed-size result: no key lost, none duplicated."""
     from repro.elastic.controller import ElasticController
     from repro.elastic.policies import ScheduleScalingPolicy
-    from repro.engine.cluster import LocalCluster
     from repro.streaming.context import StreamingContext
     from repro.streaming.sources import FixedBatchSource
 
-    with LocalCluster(conf) as cluster:
+    with _cluster(conf, faults) as cluster:
         source = FixedBatchSource(batches, 4)
         ctx = StreamingContext(cluster, source, batch_interval_s=0.05)
         controller = ElasticController(
@@ -189,15 +203,10 @@ def _run_elastic(
         )
         stream.update_state(store, merge=lambda a, b: a + b)
         ctx.run_batches(len(batches))
-        canonical = sorted(store.items())
-        injected = cluster.chaos.injected_count if cluster.chaos else 0
-        log = cluster.chaos.fault_log() if cluster.chaos else []
-    return canonical, injected, log
+        return sorted(store.items())
 
 
-def _run_driver(
-    conf: EngineConf, batches: List[List[str]]
-) -> Tuple[Any, int, List[str]]:
+def _run_driver(conf: EngineConf, batches: List[List[str]], faults: FaultTally) -> Any:
     """Streaming wordcount whose chaos target is the *driver* itself.
 
     The ``driver`` profile schedules :data:`KIND_DRIVER_KILL` faults at
@@ -231,8 +240,6 @@ def _run_driver(
     conf.ha.wal_dir = wal_dir
     sink = EpochFencedSink()
     total = len(batches)
-    injected = 0
-    log: List[str] = []
 
     def attach(cluster: "LocalCluster"):
         ctx = StreamingContext(
@@ -271,27 +278,25 @@ def _run_driver(
                 # chaos disabled: the injector is process-global and the
                 # recovered driver is the subject under test, not a fresh
                 # target.
-                if cluster.chaos is not None:
-                    injected += cluster.chaos.injected_count
-                    log += cluster.chaos.fault_log()
+                faults.harvest(cluster)
                 cluster.shutdown()
+                cluster = None
                 recover_conf = copy.deepcopy(conf)
                 recover_conf.chaos = ChaosConf(enabled=False)
                 cluster = LocalCluster.recover(wal_dir, recover_conf)
                 continue
-            if cluster.chaos is not None:
-                injected += cluster.chaos.injected_count
-                log += cluster.chaos.fault_log()
-            return sorted(store.items()), injected, log
+            return sorted(store.items())
     finally:
-        cluster.shutdown()
+        if cluster is not None:
+            faults.harvest(cluster)
+            cluster.shutdown()
         if not wal_root:
             # Under REPRO_SOAK_WAL_ROOT the journal is kept for the CI
             # artifact upload; the default temp dir is cleaned up.
             shutil.rmtree(wal_dir, ignore_errors=True)
 
 
-WORKLOADS: Dict[str, Callable[[EngineConf, List[List[str]]], Tuple[Any, int, List[str]]]] = {
+WORKLOADS: Dict[str, Callable[[EngineConf, List[List[str]], FaultTally], Any]] = {
     "wordcount": _run_wordcount,
     "streaming": _run_streaming,
     "elastic": _run_elastic,
@@ -338,7 +343,7 @@ def run_soak(
         f"transport={settings.transport} executor={settings.executor} "
         f"workers={settings.workers} batches={settings.batches}"
     )
-    expected, _, _ = workload(_make_conf(settings, None), batches)
+    expected = workload(_make_conf(settings, None), batches, FaultTally())
     echo("baseline (fault-free) computed")
 
     results: List[SeedResult] = []
@@ -353,13 +358,13 @@ def run_soak(
         started = time.monotonic()
         got: Any = None
         error: Optional[str] = None
-        injected = 0
-        fault_log: List[str] = []
+        faults = FaultTally()
         try:
-            got, injected, fault_log = workload(_make_conf(settings, chaos), batches)
+            got = workload(_make_conf(settings, chaos), batches, faults)
         except Exception:  # noqa: BLE001 - any escape is a soak failure
             error = traceback.format_exc()
         duration = time.monotonic() - started
+        injected, fault_log = faults.injected, faults.log
         mismatch = error is None and got != expected
         ok = error is None and not mismatch and injected >= 1
         results.append(

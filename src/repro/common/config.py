@@ -331,10 +331,10 @@ class ElasticConf:
 class HaConf:
     """Driver fault tolerance (:mod:`repro.ha`).
 
-    When enabled, the driver journals control-plane transitions — session
-    epochs, membership, group commits, streaming checkpoint metadata and
-    sink high-water marks — to an append-only, CRC-framed write-ahead log
-    at group boundaries (the paper's natural commit points, §3.3).  A
+    When enabled, the driver journals what recovery reads — session
+    epochs, membership, group commits (the paper's natural commit points,
+    §3.3) and streaming checkpoints — to an append-only, CRC-framed
+    write-ahead log, each record fsynced before its append returns.  A
     crashed driver restarts via :meth:`LocalCluster.recover`, which
     replays snapshot + tail and resumes from the last committed group;
     the session epoch stamped into worker-bound messages fences off a
@@ -346,18 +346,6 @@ class HaConf:
     # create a per-run temporary directory (useful for tests, useless for
     # an actual crash-restart — production runs should pin this).
     wal_dir: Optional[str] = None
-    # fsync after every N appended records (1 = every record).  Group
-    # commits and session records always force a sync regardless.
-    fsync_every_n: int = 8
-    # Compact the journal into a snapshot every N group-commit records so
-    # replay cost stays O(live state), not O(history).
-    snapshot_every_n_groups: int = 4
-
-    def validate(self) -> None:
-        if self.fsync_every_n < 1:
-            raise ConfigError("ha fsync_every_n must be >= 1")
-        if self.snapshot_every_n_groups < 1:
-            raise ConfigError("ha snapshot_every_n_groups must be >= 1")
 
 
 @dataclass
@@ -417,7 +405,6 @@ class EngineConf:
         self.chaos.validate()
         self.telemetry.validate()
         self.elastic.validate()
-        self.ha.validate()
         if (
             self.scheduling_mode is SchedulingMode.PER_BATCH
             and self.group_size != 1

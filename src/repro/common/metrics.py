@@ -372,8 +372,8 @@ COUNT_ELASTIC_WORKERS_REMOVED = "elastic.workers_removed"
 COUNT_NET_RECONNECTS = "net.reconnects"
 # Driver fault tolerance (repro.ha): control-plane WAL traffic, replay
 # work done by recovery, and the fencing/parking behaviour of workers
-# while a driver is down.  ha.wal_lag gauges records appended since the
-# last fsync (0 = everything journaled is durable).
+# while a driver is down.  Every append is fsynced, so ha.wal_fsyncs
+# equals ha.wal_appends.
 COUNT_HA_WAL_APPENDS = "ha.wal_appends"
 COUNT_HA_WAL_FSYNCS = "ha.wal_fsyncs"
 COUNT_HA_WAL_REPLAYS = "ha.wal_replays"
@@ -382,4 +382,3 @@ COUNT_HA_WAL_SNAPSHOTS = "ha.wal_snapshots"
 COUNT_HA_FENCED = "ha.fenced"
 COUNT_HA_PARKED_REPORTS = "ha.parked_reports"
 COUNT_HA_RECOVERIES = "ha.recoveries"
-GAUGE_HA_WAL_LAG = "ha.wal_lag"

@@ -90,12 +90,7 @@ class LocalCluster:
         self.recovered_state: Optional[RecoveredState] = None
         if self.conf.ha.enabled:
             wal_dir = self.conf.ha.wal_dir or tempfile.mkdtemp(prefix="repro-wal-")
-            self.journal = ControlJournal(
-                wal_dir,
-                fsync_every_n=self.conf.ha.fsync_every_n,
-                snapshot_every_n_groups=self.conf.ha.snapshot_every_n_groups,
-                metrics=self.metrics,
-            )
+            self.journal = ControlJournal(wal_dir, metrics=self.metrics)
             self.recovered_state = self.journal.recovered
             self.driver.journal = self.journal
             self.driver.session_epoch = self.journal.open_session()

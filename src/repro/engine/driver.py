@@ -629,7 +629,6 @@ class Driver:
             self.jobs[job_id] = job
             if job_key is not None:
                 self._job_ids_by_key[job_key] = job_id
-            self._journal_job("submitted", job)
             if self.tracer.enabled:
                 if prior is not None:
                     self._finish_job_spans(prior, superseded=True)
@@ -1084,17 +1083,12 @@ class Driver:
             if all(d in job.map_status for d in deps):
                 self._launch_barrier_task(job, stage_index, partition)
 
-    def _journal_job(self, event: str, job: JobState) -> None:
-        if self.journal is not None:
-            self.journal.record_job(event, job.job_id, key=job.job_key)
-
     def _check_job_done(self, job: JobState) -> None:
         if not job.done.is_set() and all(
             not rem for rem in job.stage_remaining.values()
         ):
             job.done.set()
             self._finish_job_spans(job)
-            self._journal_job("completed", job)
 
     def _fail_job(self, job: JobState, err: BaseException) -> None:
         """End a job with ``err`` (caller holds the lock)."""

@@ -4,14 +4,14 @@ The driver is the only stateful singleton in the engine; everything else
 already survives chaos (worker kills, dropped frames, kills racing a
 resize).  This package closes that gap with three pieces:
 
-* :mod:`repro.ha.wal` — an append-only, fsync-batched, CRC-framed
-  write-ahead log (the ``repro.net.framing`` record style, on disk) with
-  snapshot compaction and a torn-tail-tolerant reader.
+* :mod:`repro.ha.wal` — an append-only, CRC-framed write-ahead log (the
+  ``repro.net.framing`` record style, on disk) that fsyncs every append,
+  with snapshot compaction and a torn-tail-tolerant reader.
 * :mod:`repro.ha.journal` — the control-plane journal layered on the
-  WAL: session epochs, membership, job events, group
-  commits (the §3.3 commit points), streaming checkpoint metadata and
-  sink high-water marks, folded into a live-state dict so compaction and
-  replay stay O(live state).
+  WAL, holding only what recovery reads: session epochs, membership,
+  group commits (the §3.3 commit points) and streaming checkpoints,
+  folded into a live-state dict so compaction and replay stay O(live
+  state).
 * Session-epoch fencing — the journal hands out a monotonically
   increasing driver session epoch; the driver stamps it into
   worker-bound messages so a zombie driver's traffic is refused

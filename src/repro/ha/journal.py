@@ -2,17 +2,17 @@
 
 Every record folds deterministically into one live-state dict, so the
 journal IS the fold — replay applies the same ``_fold`` the writer used,
-and compaction just persists the folded dict.  Journaled transitions
-(the §3.3 group-boundary commit points, per ISSUE 10):
+and compaction just persists the folded dict.  Every record is fsynced
+before its append returns.  Journaled transitions (the §3.3
+group-boundary commit points):
 
-* ``session`` — a new driver session epoch (always fsynced: the epoch is
-  the fencing token, it must never be resurrected lower).
+* ``session`` — a new driver session epoch (the fencing token: it must
+  never be resurrected lower).
 * ``membership`` — the live worker set after a join/decommission.  Older
   records may carry extra keys; the fold reads only ``workers``.
-* ``job`` — job submission/completion bookkeeping.
-* ``group_commit`` — one committed streaming group: batch ids, a digest
-  of map-output locations, and the sink high-water mark (always
-  fsynced: this is the recovery line).
+* ``group_commit`` — one committed streaming group: its batch ids (the
+  recovery line).  Older records may carry extra keys; the fold reads
+  only ``batch_ids``.
 * ``checkpoint`` — streaming checkpoint metadata plus the state-store
   contents needed to resume without re-running history.  A store is
   recorded whole (``state_snapshots``: a full base) or as the delta since
@@ -21,6 +21,10 @@ and compaction just persists the folded dict.  Journaled transitions
   and compaction persists that copy, so compaction is the only place
   deltas fold into a full snapshot.  Records that carry only
   ``state_snapshots`` (every store whole) replay as before.
+
+Record kinds this writer no longer emits (``job`` and ``shard_map`` in
+older journals) fold to nothing, and snapshot keys the fold no longer
+keeps (``jobs``, ``last_group``) are dropped on load.
 """
 
 from __future__ import annotations
@@ -37,9 +41,7 @@ def _initial_state() -> Dict[str, Any]:
     return {
         "epoch": 0,
         "workers": [],
-        "jobs": {"submitted": 0, "completed": 0, "open": []},
         "committed_batches": set(),
-        "last_group": None,
         "checkpoint": None,
     }
 
@@ -53,29 +55,8 @@ def _fold(state: Dict[str, Any], record: WalRecord) -> None:
         state["epoch"] = max(state["epoch"], int(payload["epoch"]))
     elif rtype == "membership":
         state["workers"] = list(payload["workers"])
-    elif rtype == "job":
-        jobs = state["jobs"]
-        key = payload.get("key")
-        if payload["event"] == "submitted":
-            jobs["submitted"] += 1
-            if key is not None and key not in jobs["open"]:
-                jobs["open"].append(key)
-        elif payload["event"] == "completed":
-            jobs["completed"] += 1
-            if key in jobs["open"]:
-                jobs["open"].remove(key)
     elif rtype == "group_commit":
         state["committed_batches"].update(payload["batch_ids"])
-        state["last_group"] = {
-            "batch_ids": list(payload["batch_ids"]),
-            "locations_digest": payload.get("locations_digest", ""),
-            "sink_hwm": sorted(payload.get("sink_hwm") or payload["batch_ids"]),
-        }
-        # A committed group retires the jobs it carried.
-        jobs = state["jobs"]
-        jobs["open"] = [
-            k for k in jobs["open"] if k not in set(payload.get("job_keys", []))
-        ]
     elif rtype == "checkpoint":
         previous = state["checkpoint"]
         prior = previous["state_snapshots"] if previous is not None else {}
@@ -96,8 +77,8 @@ def _fold(state: Dict[str, Any], record: WalRecord) -> None:
             "state_snapshots": snapshots,
             "extra": dict(payload.get("extra", {})),
         }
-    # Unknown record types fold to nothing: an old reader replaying a
-    # newer journal skips what it does not understand.
+    # Other record types fold to nothing: retired kinds in an older
+    # journal, or kinds from a newer writer this reader does not know.
 
 
 def _fold_all(
@@ -105,9 +86,11 @@ def _fold_all(
 ) -> Dict[str, Any]:
     state = _initial_state()
     if snapshot is not None:
-        state.update(snapshot)
+        # Only the keys the fold keeps: an older snapshot's retired keys
+        # are not carried into the next one.
+        state.update({key: snapshot[key] for key in state if key in snapshot})
         # Sets pickle fine but a hand-edited snapshot may carry a list.
-        state["committed_batches"] = set(state.get("committed_batches") or ())
+        state["committed_batches"] = set(state["committed_batches"] or ())
     for record in tail:
         _fold(state, record)
     return state
@@ -121,7 +104,6 @@ class RecoveredState:
     workers: List[str]
     committed_batches: frozenset
     checkpoint: Optional[Dict[str, Any]]
-    jobs: Dict[str, Any]
     replay_stats: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -153,7 +135,6 @@ def _recovered_from(state: Dict[str, Any], stats: Dict[str, int]) -> RecoveredSt
         workers=list(state["workers"]),
         committed_batches=frozenset(state["committed_batches"]),
         checkpoint=_copy_checkpoint(state["checkpoint"]),
-        jobs=dict(state["jobs"]),
         replay_stats=dict(stats),
     )
 
@@ -161,19 +142,12 @@ def _recovered_from(state: Dict[str, Any], stats: Dict[str, int]) -> RecoveredSt
 class ControlJournal:
     """Drives the WAL on behalf of the driver/streaming control plane.
 
-    Thread-safe: the driver journals membership and job events from its
-    own lock while the streaming loop journals group commits.
+    Thread-safe: the driver journals membership changes while the
+    streaming loop journals group commits and checkpoints.
     """
 
-    def __init__(
-        self,
-        wal_dir: str,
-        fsync_every_n: int = 8,
-        snapshot_every_n_groups: int = 4,
-        metrics=None,
-    ):
-        self.wal = WriteAheadLog(wal_dir, fsync_every_n=fsync_every_n, metrics=metrics)
-        self.snapshot_every_n_groups = max(1, snapshot_every_n_groups)
+    def __init__(self, wal_dir: str, metrics=None):
+        self.wal = WriteAheadLog(wal_dir, metrics=metrics)
         self.metrics = metrics
         self._lock = threading.Lock()
         snapshot, tail, stats = self.wal.load()
@@ -181,7 +155,6 @@ class ControlJournal:
         # The world as the previous incarnation left it, before this
         # session touches anything; LocalCluster.recover reads this.
         self.recovered = _recovered_from(self._state, stats)
-        self._groups_since_compact = 0
 
     @property
     def wal_dir(self) -> str:
@@ -192,47 +165,26 @@ class ControlJournal:
         with self._lock:
             epoch = int(self._state["epoch"]) + 1
             self._state["epoch"] = epoch
-            self.wal.append("session", {"epoch": epoch}, force_sync=True)
+            self.wal.append("session", {"epoch": epoch})
             return epoch
 
-    def _append(self, record_type: str, payload: Dict[str, Any], force_sync: bool):
-        record = WalRecord(record_type, payload)
-        _fold(self._state, record)
-        self.wal.append(record_type, payload, force_sync=force_sync)
+    def _append(self, record_type: str, payload: Dict[str, Any]) -> None:
+        _fold(self._state, WalRecord(record_type, payload))
+        self.wal.append(record_type, payload)
 
     def record_membership(self, workers) -> None:
         with self._lock:
-            self._append("membership", {"workers": sorted(workers)}, force_sync=False)
+            self._append("membership", {"workers": sorted(workers)})
 
-    def record_job(self, event: str, job_id: int, key: Any = None) -> None:
-        with self._lock:
-            self._append(
-                "job", {"event": event, "job_id": job_id, "key": key}, force_sync=False
-            )
+    def record_group_commit(self, batch_ids) -> None:
+        """One streaming group committed — the durable recovery line.
 
-    def record_group_commit(
-        self,
-        batch_ids,
-        locations_digest: str = "",
-        sink_hwm=None,
-        job_keys=None,
-    ) -> None:
-        """One streaming group committed — the durable recovery line."""
+        Compacts once the log tail has grown to the size of the last
+        snapshot, so a replay reads at most about twice the live state."""
         with self._lock:
-            self._append(
-                "group_commit",
-                {
-                    "batch_ids": list(batch_ids),
-                    "locations_digest": locations_digest,
-                    "sink_hwm": sorted(sink_hwm) if sink_hwm is not None else None,
-                    "job_keys": list(job_keys or ()),
-                },
-                force_sync=True,
-            )
-            self._groups_since_compact += 1
-            if self._groups_since_compact >= self.snapshot_every_n_groups:
+            self._append("group_commit", {"batch_ids": list(batch_ids)})
+            if self.wal.log_bytes >= self.wal.snapshot_bytes:
                 self.wal.compact(self._state)
-                self._groups_since_compact = 0
 
     def record_checkpoint(
         self,
@@ -255,11 +207,7 @@ class ControlJournal:
         if state_deltas:
             payload["state_deltas"] = state_deltas
         with self._lock:
-            self._append("checkpoint", payload, force_sync=True)
-
-    def sync(self) -> None:
-        with self._lock:
-            self.wal.sync()
+            self._append("checkpoint", payload)
 
     def close(self) -> None:
         with self._lock:

@@ -16,17 +16,18 @@ offset size   field
 12     n      payload: pickled ``(record_type, payload_dict)``
 ====== ====== ===========================================================
 
-Durability model: appends accumulate in the OS page cache and are
-fsynced every ``fsync_every_n`` records (group commits force a sync), so
-a crash can lose at most the unsynced suffix — never a prefix, never the
-snapshot.  The reader is correspondingly *prefix-tolerant*: a truncated
-header, short payload, or CRC mismatch at the tail ends replay cleanly
-at the last good record instead of poisoning it (torn tails are the
-expected crash artifact, not an error).
+Durability model: every append is flushed and fsynced before it
+returns, so a crash can lose at most the record being written — never a
+prefix, never the snapshot.  The reader is correspondingly
+*prefix-tolerant*: a truncated header, short payload, or CRC mismatch at
+the tail ends replay cleanly at the last good record instead of
+poisoning it (torn tails are the expected crash artifact, not an error).
 
 Compaction: :meth:`WriteAheadLog.compact` writes the folded live state
 as a single-record ``snapshot.bin`` (tmp + fsync + atomic rename), then
 truncates ``wal.log`` — replay cost stays O(live state), not O(history).
+The log tracks both files' sizes (``log_bytes``, ``snapshot_bytes``) so
+its caller can compact once the tail has grown to the snapshot's size.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from repro.common.metrics import (
     COUNT_HA_WAL_FSYNCS,
     COUNT_HA_WAL_REPLAYS,
     COUNT_HA_WAL_SNAPSHOTS,
-    GAUGE_HA_WAL_LAG,
 )
 
 MAGIC = b"RW"
@@ -138,47 +138,36 @@ def _fsync_dir(dirname: str) -> None:
 class WriteAheadLog:
     """The driver's journal file pair: ``snapshot.bin`` + ``wal.log``."""
 
-    def __init__(self, wal_dir: str, fsync_every_n: int = 8, metrics=None):
-        if fsync_every_n < 1:
-            raise CheckpointError("fsync_every_n must be >= 1")
+    def __init__(self, wal_dir: str, metrics=None):
         self.wal_dir = wal_dir
-        self.fsync_every_n = fsync_every_n
         self.metrics = metrics
         os.makedirs(wal_dir, exist_ok=True)
         self.log_path = os.path.join(wal_dir, LOG_NAME)
         self.snapshot_path = os.path.join(wal_dir, SNAPSHOT_NAME)
         self._file = open(self.log_path, "ab")
-        self._unsynced = 0
+        self.log_bytes = self._file.tell()
+        try:
+            self.snapshot_bytes = os.path.getsize(self.snapshot_path)
+        except FileNotFoundError:
+            self.snapshot_bytes = 0
         self._closed = False
 
     # ------------------------------------------------------------------
     # Write side
     # ------------------------------------------------------------------
-    def append(
-        self, record_type: str, payload: Dict[str, Any], force_sync: bool = False
-    ) -> None:
+    def append(self, record_type: str, payload: Dict[str, Any]) -> None:
+        """Append one record; it is durable when this returns."""
         if self._closed:
             raise CheckpointError("append on a closed WriteAheadLog")
         frame = encode_record(record_type, payload)
         self._file.write(frame)
-        self._unsynced += 1
+        self._file.flush()
+        os.fsync(self._file.fileno())
+        self.log_bytes += len(frame)
         if self.metrics is not None:
             self.metrics.counter(COUNT_HA_WAL_APPENDS).add(1)
             self.metrics.counter(COUNT_HA_WAL_BYTES).add(len(frame))
-            self.metrics.gauge(GAUGE_HA_WAL_LAG).set(self._unsynced)
-        if force_sync or self._unsynced >= self.fsync_every_n:
-            self.sync()
-
-    def sync(self) -> None:
-        """Flush + fsync; after this every appended record is durable."""
-        if self._closed or self._unsynced == 0:
-            return
-        self._file.flush()
-        os.fsync(self._file.fileno())
-        self._unsynced = 0
-        if self.metrics is not None:
             self.metrics.counter(COUNT_HA_WAL_FSYNCS).add(1)
-            self.metrics.gauge(GAUGE_HA_WAL_LAG).set(0)
 
     def compact(self, state: Dict[str, Any]) -> None:
         """Fold the live state into ``snapshot.bin`` and truncate the log.
@@ -189,7 +178,6 @@ class WriteAheadLog:
         """
         if self._closed:
             raise CheckpointError("compact on a closed WriteAheadLog")
-        self.sync()
         tmp_path = self.snapshot_path + ".tmp"
         frame = encode_record("snapshot", state)
         with open(tmp_path, "wb") as tmp:
@@ -202,20 +190,17 @@ class WriteAheadLog:
         self._file.truncate(0)
         self._file.flush()
         os.fsync(self._file.fileno())
-        self._unsynced = 0
+        self.snapshot_bytes = len(frame)
+        self.log_bytes = 0
         if self.metrics is not None:
             self.metrics.counter(COUNT_HA_WAL_SNAPSHOTS).add(1)
             self.metrics.counter(COUNT_HA_WAL_BYTES).add(len(frame))
-            self.metrics.gauge(GAUGE_HA_WAL_LAG).set(0)
 
     def close(self) -> None:
         if self._closed:
             return
-        try:
-            self.sync()
-        finally:
-            self._closed = True
-            self._file.close()
+        self._closed = True
+        self._file.close()
 
     # ------------------------------------------------------------------
     # Read side

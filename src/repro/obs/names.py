@@ -49,7 +49,6 @@ from repro.common.metrics import (
     COUNT_TELEMETRY_DELTAS,
     COUNT_TELEMETRY_RECORDS,
     COUNT_TELEMETRY_TASKS,
-    GAUGE_HA_WAL_LAG,
     GAUGE_TELEMETRY_BACKLOG,
     GAUGE_TELEMETRY_STREAM_BACKLOG,
     HIST_NET_BUCKETS_PER_FETCH,
@@ -179,7 +178,6 @@ METRIC_NAMES = frozenset(
         COUNT_HA_FENCED,
         COUNT_HA_PARKED_REPORTS,
         COUNT_HA_RECOVERIES,
-        GAUGE_HA_WAL_LAG,
     }
 )
 

@@ -123,13 +123,11 @@ def render_dashboard(telemetry: ClusterTelemetry) -> str:
         if k.startswith("ha.")
     }
     if ha_counters:
-        lag = (driver_state.get("gauges") or {}).get("ha.wal_lag", 0)
         lines.append(
             "  ha wal             "
             f"appends={ha_counters.get('ha.wal_appends', 0):g}"
             f" fsyncs={ha_counters.get('ha.wal_fsyncs', 0):g}"
             f" snapshots={ha_counters.get('ha.wal_snapshots', 0):g}"
-            f" lag={lag:g}B"
             f" replays={ha_counters.get('ha.wal_replays', 0):g}"
             f" fenced={ha_counters.get('ha.fenced', 0):g}"
         )

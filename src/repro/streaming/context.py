@@ -17,7 +17,6 @@ outputs are not recomputed (lineage reuse).
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional
@@ -195,36 +194,11 @@ class StreamingContext:
             raise DriverKilled(where)
 
     def _journal_group_commit(self, batch_indices: range) -> None:
-        """Journal one committed group — the durable recovery line (§3.3
-        group boundary): the batch ids it carried, which output jobs they
-        retired, a digest of where their map outputs live, and the sink
-        high-water mark implied by the in-order callbacks having run."""
+        """Journal one committed group's batch ids — the durable recovery
+        line (§3.3 group boundary)."""
         journal = getattr(self.cluster, "journal", None)
-        if journal is None:
-            return
-        job_keys = [
-            (op.index, batch_index)
-            for batch_index in batch_indices
-            for op in self.output_ops
-        ]
-        journal.record_group_commit(
-            list(batch_indices),
-            locations_digest=self._locations_digest(job_keys),
-            sink_hwm=list(batch_indices),
-            job_keys=job_keys,
-        )
-
-    def _locations_digest(self, job_keys: List[Any]) -> str:
-        """Stable digest of the group's map-output locations, journaled so
-        a recovering driver can tell whether worker-held shuffle state
-        still matches what the committed group produced."""
-        items: List[Any] = []
-        for key in job_keys:
-            job_id = self.driver.job_id_for(key)
-            job = self.driver.jobs.get(job_id) if job_id is not None else None
-            if job is not None:
-                items.append((key, sorted(job.map_status.items())))
-        return hashlib.sha1(repr(items).encode()).hexdigest()
+        if journal is not None:
+            journal.record_group_commit(batch_indices)
 
     def _run_group(self, batch_indices: range, reuse: bool = True) -> None:
         self._driver_chaos("mid_group")

@@ -13,6 +13,8 @@ from repro.chaos import soak
 from repro.chaos.injector import ChaosInjector, install, uninstall
 from repro.chaos.plan import _PROFILE_TEMPLATES, FaultPlan
 from repro.chaos.soak import DEFAULT_PROFILE, SoakSettings, main, run_soak
+from repro.dag.dataset import parallelize
+from repro.dag.plan import collect_action, compile_plan
 
 
 def fast_settings(**kwargs):
@@ -57,10 +59,12 @@ class TestRunSoak:
     def test_mismatch_dumps_seed_and_fault_log(self, tmp_path, monkeypatch):
         # A workload whose chaos runs disagree with the baseline must fail
         # the soak and leave a reproducible failure file behind.
-        def lying_workload(conf, batches):
+        def lying_workload(conf, batches, faults):
             if conf.chaos.enabled:
-                return [["wrong"]], 1, ["worker_kill @ worker.task hit 1"]
-            return [["right"]], 0, []
+                faults.injected += 1
+                faults.log.append("worker_kill @ worker.task hit 1")
+                return [["wrong"]]
+            return [["right"]]
 
         monkeypatch.setitem(soak.WORKLOADS, "lying", lying_workload)
         lines = []
@@ -101,10 +105,12 @@ class TestRunSoak:
         """Default is fail-fast (first mismatch stops the run); with
         keep_going the soak attempts every seed and still reports failure."""
 
-        def lying_workload(conf, batches):
+        def lying_workload(conf, batches, faults):
             if conf.chaos.enabled:
-                return [["wrong"]], 1, ["worker_kill @ worker.task hit 1"]
-            return [["right"]], 0, []
+                faults.injected += 1
+                faults.log.append("worker_kill @ worker.task hit 1")
+                return [["wrong"]]
+            return [["right"]]
 
         monkeypatch.setitem(soak.WORKLOADS, "lying", lying_workload)
         fast = run_soak(
@@ -129,11 +135,45 @@ class TestRunSoak:
         for result in thorough["results"]:
             assert result["duration_s"] >= 0
 
+    def test_workload_error_keeps_the_faults_that_fired(self, tmp_path, monkeypatch):
+        """A workload that raises after its faults fired (the elastic
+        flake's RecoveryBudgetExceeded, say) still reports those faults,
+        in the summary and in the failure file."""
+
+        def failing_workload(conf, batches, faults):
+            with soak._cluster(conf, faults) as cluster:
+                plan = compile_plan(
+                    parallelize(batches[0], 4).map(lambda w: (w, 1)), collect_action()
+                )
+                result = sorted(cluster.run_plan(plan))
+                if conf.chaos.enabled:
+                    raise RuntimeError("gave up after the faults fired")
+            return result
+
+        monkeypatch.setitem(soak.WORKLOADS, "failing", failing_workload)
+        lines = []
+        summary = run_soak(
+            fast_settings(workload="failing"),
+            seeds=1,
+            seed_base=3,
+            out_dir=str(tmp_path),
+            echo=lines.append,
+        )
+        result = summary["results"][0]
+        assert result["ok"] is False
+        assert "gave up after the faults fired" in result["error"]
+        # The mixed profile's guaranteed worker kill fires at the first task.
+        assert result["injected"] >= 1
+        assert any("worker_kill @ worker.task" in line for line in result["fault_log"])
+        assert f"ERROR ({result['injected']} fault(s) injected" in "\n".join(lines)
+        failure = json.loads((tmp_path / "soak-failure-seed-3.json").read_text())
+        assert failure["fault_log"] == result["fault_log"]
+
     def test_zero_injected_faults_is_a_failure(self, monkeypatch):
         # Matching output is not enough: an armed run that injected
         # nothing proves nothing, and the soak must say so.
-        def quiet_workload(conf, batches):
-            return [["same"]], 0, []
+        def quiet_workload(conf, batches, faults):
+            return [["same"]]
 
         monkeypatch.setitem(soak.WORKLOADS, "quiet", quiet_workload)
         summary = run_soak(
@@ -172,7 +212,9 @@ class TestGuaranteedFaultReachability:
         counter = ChaosInjector(FaultPlan([], profile=profile))
         install(counter)
         try:
-            soak.WORKLOADS[workload](soak._make_conf(settings, None), batches)
+            soak.WORKLOADS[workload](
+                soak._make_conf(settings, None), batches, soak.FaultTally()
+            )
         finally:
             uninstall(counter)
         assert counter._hits.get(site, 0) >= needed

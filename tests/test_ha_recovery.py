@@ -10,7 +10,11 @@ run with HA enabled costs ±0 engine messages versus HA disabled.
 import pytest
 
 from repro.common.config import EngineConf, HaConf, TransportConf
-from repro.common.metrics import COUNT_RPC_MESSAGES
+from repro.common.metrics import (
+    COUNT_HA_WAL_APPENDS,
+    COUNT_HA_WAL_FSYNCS,
+    COUNT_RPC_MESSAGES,
+)
 from repro.engine.cluster import LocalCluster
 from repro.streaming import EpochFencedSink, FixedBatchSource, StreamingContext
 
@@ -59,7 +63,7 @@ class TestCrashRestartRecovery:
         wal_dir = str(tmp_path / "wal")
         conf = EngineConf(
             num_workers=2,
-            ha=HaConf(enabled=True, wal_dir=wal_dir, snapshot_every_n_groups=2),
+            ha=HaConf(enabled=True, wal_dir=wal_dir),
         )
         sink = EpochFencedSink()
         with LocalCluster(conf) as first:
@@ -110,7 +114,7 @@ class TestCrashRestartRecovery:
         finally:
             second.shutdown()
 
-    def test_journal_records_membership_and_jobs(self, tmp_path):
+    def test_journal_records_membership_and_commits(self, tmp_path):
         from repro.ha.journal import ControlJournal
 
         wal_dir = str(tmp_path / "wal")
@@ -123,8 +127,24 @@ class TestCrashRestartRecovery:
             ctx.run_batches(1)
         state = ControlJournal.recover(wal_dir)
         assert state.workers == ["worker-0", "worker-1"]
-        assert state.jobs["submitted"] > 0
-        assert state.jobs["open"] == []  # all committed groups retired them
+        assert state.committed_batches == frozenset(range(3))
+
+    def test_a_checkpointed_group_journals_two_synced_records(self, tmp_path):
+        conf = EngineConf(
+            num_workers=2,
+            group_size=2,
+            ha=HaConf(enabled=True, wal_dir=str(tmp_path / "wal")),
+        )
+        with LocalCluster(conf) as cluster:
+            appends = cluster.metrics.counter(COUNT_HA_WAL_APPENDS)
+            fsyncs = cluster.metrics.counter(COUNT_HA_WAL_FSYNCS)
+            assert appends.value == 3  # the session and one membership per worker
+            ctx, _ = _build(cluster, EpochFencedSink())
+            ctx.run_batches(2)
+            before = appends.value
+            ctx.run_batches(4)  # two groups, each checkpointed at its boundary
+            assert appends.value - before == 4  # a group_commit and a checkpoint each
+            assert fsyncs.value == appends.value
 
     def test_recovered_cluster_keeps_journaling(self, tmp_path):
         """Recovery is not a one-shot: the restarted driver journals too,

@@ -7,12 +7,15 @@ The properties that matter for crash recovery:
   the intact prefix replays, nothing raises (property-tested over every
   truncation point and random corruptions);
 * snapshot compaction keeps replay O(live state): after compaction the
-  log is empty and the snapshot alone reproduces the folded state;
-* fsync batching syncs every N appends, and force_sync always syncs.
+  log is empty and the snapshot alone reproduces the folded state, and
+  after every group commit the tail is no larger than the snapshot;
+* every append is fsynced before it returns;
+* a journal in the older record layout (``job`` records, extra
+  ``group_commit`` keys, retired snapshot keys) replays to the same
+  recovered state, and the next compaction drops the retired keys.
 """
 
 import random
-import struct
 
 import pytest
 
@@ -30,6 +33,7 @@ from repro.ha.journal import ControlJournal
 from repro.ha.wal import (
     HEADER,
     LOG_NAME,
+    SNAPSHOT_NAME,
     WriteAheadLog,
     encode_record,
     load_wal,
@@ -42,7 +46,7 @@ class TestWalRoundtrip:
         wal = WriteAheadLog(str(tmp_path))
         wal.append("session", {"epoch": 1})
         wal.append("membership", {"workers": ["w0", "w1"]})
-        wal.append("group_commit", {"batch_ids": [0, 1, 2]}, force_sync=True)
+        wal.append("group_commit", {"batch_ids": [0, 1, 2]})
         wal.close()
         records, dropped = read_wal_records(str(tmp_path / LOG_NAME))
         assert dropped == 0
@@ -58,32 +62,39 @@ class TestWalRoundtrip:
         assert snapshot is None and tail == []
         assert stats["records_replayed"] == 0
 
-    def test_fsync_batching_and_force_sync(self, tmp_path):
+    def test_every_append_is_fsynced(self, tmp_path):
         metrics = MetricsRegistry()
-        wal = WriteAheadLog(str(tmp_path), fsync_every_n=3, metrics=metrics)
-        wal.append("job", {"event": "submitted", "job_id": 1})
-        wal.append("job", {"event": "submitted", "job_id": 2})
-        assert metrics.counter(COUNT_HA_WAL_FSYNCS).value == 0
-        wal.append("job", {"event": "submitted", "job_id": 3})  # 3rd: batch sync
-        assert metrics.counter(COUNT_HA_WAL_FSYNCS).value == 1
-        wal.append("group_commit", {"batch_ids": [0]}, force_sync=True)
-        assert metrics.counter(COUNT_HA_WAL_FSYNCS).value == 2
-        assert metrics.counter(COUNT_HA_WAL_APPENDS).value == 4
+        wal = WriteAheadLog(str(tmp_path), metrics=metrics)
+        for n, kind in enumerate(["session", "membership", "group_commit"], 1):
+            wal.append(kind, {"n": n})
+            assert metrics.counter(COUNT_HA_WAL_APPENDS).value == n
+            assert metrics.counter(COUNT_HA_WAL_FSYNCS).value == n
+            # Flushed, not buffered: the record is in the file already.
+            assert (tmp_path / LOG_NAME).stat().st_size == wal.log_bytes
+        wal.compact({"epoch": 1})
+        # Compaction syncs its own files; it is no append.
+        assert metrics.counter(COUNT_HA_WAL_FSYNCS).value == 3
         wal.close()
 
     def test_compaction_truncates_log_and_persists_state(self, tmp_path):
         metrics = MetricsRegistry()
         wal = WriteAheadLog(str(tmp_path), metrics=metrics)
         for i in range(4):
-            wal.append("job", {"event": "submitted", "job_id": i})
-        wal.compact({"jobs": 4, "committed_batches": {0, 1}})
-        assert (tmp_path / LOG_NAME).stat().st_size == 0
+            wal.append("group_commit", {"batch_ids": [i]})
+        wal.compact({"epoch": 4, "committed_batches": {0, 1}})
+        assert (tmp_path / LOG_NAME).stat().st_size == 0 == wal.log_bytes
+        assert (tmp_path / SNAPSHOT_NAME).stat().st_size == wal.snapshot_bytes
         assert metrics.counter(COUNT_HA_WAL_SNAPSHOTS).value == 1
-        wal.append("job", {"event": "submitted", "job_id": 9}, force_sync=True)
+        wal.append("group_commit", {"batch_ids": [9]})
         wal.close()
         snapshot, tail, _stats = load_wal(str(tmp_path))
-        assert snapshot == {"jobs": 4, "committed_batches": {0, 1}}
-        assert [r.payload["job_id"] for r in tail] == [9]
+        assert snapshot == {"epoch": 4, "committed_batches": {0, 1}}
+        assert [r.payload["batch_ids"] for r in tail] == [[9]]
+        # A reopened log knows both sizes from the files.
+        reopened = WriteAheadLog(str(tmp_path))
+        assert reopened.log_bytes == (tmp_path / LOG_NAME).stat().st_size > 0
+        assert reopened.snapshot_bytes == (tmp_path / SNAPSHOT_NAME).stat().st_size
+        reopened.close()
 
 
 class TestTornTail:
@@ -155,7 +166,8 @@ class TestTornTail:
         journal = ControlJournal(str(tmp_path))
         epoch = journal.open_session()
         journal.record_membership(["w0"])
-        journal.record_group_commit([0, 1], job_keys=[(0, 0), (0, 1)])
+        journal.record_group_commit([0, 1])
+        journal.record_membership(["w0", "w1"])
         journal.close()
         log = tmp_path / LOG_NAME
         data = log.read_bytes()
@@ -174,12 +186,10 @@ class TestTornTail:
 
 class TestJournalFold:
     def test_fold_reproduces_control_state(self, tmp_path):
-        journal = ControlJournal(str(tmp_path), snapshot_every_n_groups=100)
+        journal = ControlJournal(str(tmp_path))
         journal.open_session()
         journal.record_membership(["w0", "w1"])
-        journal.record_job("submitted", 1, key=(0, 0))
-        journal.record_job("submitted", 2, key=(0, 1))
-        journal.record_group_commit([0, 1], job_keys=[(0, 0), (0, 1)])
+        journal.record_group_commit([0, 1])
         journal.record_checkpoint(1, 2, {"counts": {"a": 4}}, extra={"next_batch": 2})
         # A record type this reader no longer writes (an elastic shard-map
         # flip from older journals) folds to nothing: replay still works.
@@ -190,24 +200,127 @@ class TestJournalFold:
         assert state.session_epoch == 1
         assert state.workers == ["w0", "w1"]
         assert state.committed_batches == frozenset({0, 1})
-        assert state.jobs["open"] == []  # committed group retired them
         assert state.checkpoint["state_snapshots"] == {"counts": {"a": 4}}
         assert state.next_batch == 2
         assert not hasattr(state, "shard_map")
 
     def test_compaction_preserves_fold(self, tmp_path):
-        journal = ControlJournal(str(tmp_path), snapshot_every_n_groups=2)
+        journal = ControlJournal(str(tmp_path))
         journal.open_session()
         journal.record_membership(["w0"])
-        for g in range(5):  # compacts at groups 2 and 4
+        for g in range(12):
+            journal.record_checkpoint(g, g + 1, {"s": {f"k{g}": "x" * 40}})
             journal.record_group_commit([g])
+            # Replay cost is O(live state): after every group commit the
+            # tail is no larger than the snapshot it replays on top of.
+            log_size = (tmp_path / LOG_NAME).stat().st_size
+            assert log_size <= (tmp_path / SNAPSHOT_NAME).stat().st_size
         journal.close()
         state = ControlJournal.recover(str(tmp_path))
-        assert state.committed_batches == frozenset(range(5))
+        assert state.committed_batches == frozenset(range(12))
         assert state.workers == ["w0"]
-        # Replay cost is O(live state): the tail holds at most the records
-        # since the last compaction, not the full history.
-        assert state.replay_stats["records_replayed"] <= 2
+        assert state.checkpoint["state_snapshots"] == {"s": {"k11": "x" * 40}}
+        assert state.replay_stats["snapshot_loaded"] == 1
+
+    def test_every_append_synced_and_every_group_commit_bounds_the_tail(self, tmp_path):
+        metrics = MetricsRegistry()
+        appends = metrics.counter(COUNT_HA_WAL_APPENDS)
+        fsyncs = metrics.counter(COUNT_HA_WAL_FSYNCS)
+        journal = ControlJournal(str(tmp_path), metrics=metrics)
+        journal.open_session()
+        journal.record_membership(["w0", "w1"])
+        journal.record_checkpoint(0, 1, {"s": {f"k{i}": i for i in range(50)}})
+        assert fsyncs.value == appends.value == 3
+        for g in range(1, 30):
+            journal.record_group_commit([g])
+            log_size = (tmp_path / LOG_NAME).stat().st_size
+            assert log_size <= (tmp_path / SNAPSHOT_NAME).stat().st_size
+            journal.record_checkpoint(
+                g, g + 1, {}, state_deltas={"s": {"updates": {f"k{g}": -g}, "deleted": []}}
+            )
+            assert fsyncs.value == appends.value
+        journal.close()
+        # Compaction follows the tail's size: repeatedly, not at every group.
+        assert 2 <= metrics.counter(COUNT_HA_WAL_SNAPSHOTS).value < 29
+
+    def test_parent_format_journal_replays_to_the_same_state(self, tmp_path):
+        """A journal in the layout written before ``job`` records and the
+        extra ``group_commit`` keys were retired: its snapshot carries
+        ``jobs`` and ``last_group``, its tail ``job`` records.  Both
+        recovery entry points read the same state from it, and the next
+        compaction drops the retired keys."""
+        checkpoint = {
+            "batch_index": 1,
+            "next_batch": 2,
+            "state_snapshots": {"counts": {"a": 3, "b": 1}},
+            "extra": {"next_batch": 2},
+        }
+        (tmp_path / SNAPSHOT_NAME).write_bytes(
+            encode_record(
+                "snapshot",
+                {
+                    "epoch": 1,
+                    "workers": ["worker-0", "worker-1"],
+                    "jobs": {"submitted": 4, "completed": 4, "open": []},
+                    "committed_batches": {0, 1},
+                    "last_group": {
+                        "batch_ids": [0, 1],
+                        "locations_digest": "5f0c",
+                        "sink_hwm": [0, 1],
+                    },
+                    "checkpoint": checkpoint,
+                },
+            )
+        )
+        wal = WriteAheadLog(str(tmp_path))
+        for batch in (2, 3):
+            wal.append("job", {"event": "submitted", "job_id": batch, "key": (0, batch)})
+        for batch in (2, 3):
+            wal.append("job", {"event": "completed", "job_id": batch, "key": (0, batch)})
+        wal.append(
+            "group_commit",
+            {
+                "batch_ids": [2, 3],
+                "locations_digest": "9a7e",
+                "sink_hwm": [2, 3],
+                "job_keys": [(0, 2), (0, 3)],
+            },
+        )
+        wal.append(
+            "checkpoint",
+            {
+                "batch_index": 3,
+                "next_batch": 4,
+                "state_snapshots": {},
+                "extra": {"next_batch": 4},
+                "state_deltas": {"counts": {"updates": {"c": 2}, "deleted": ["b"]}},
+            },
+        )
+        wal.append("job", {"event": "submitted", "job_id": 4, "key": (0, 4)})
+        wal.close()
+
+        expected_checkpoint = {
+            "batch_index": 3,
+            "next_batch": 4,
+            "state_snapshots": {"counts": {"a": 3, "c": 2}},
+            "extra": {"next_batch": 4},
+        }
+        replayed = ControlJournal.recover(str(tmp_path))
+        with LocalCluster.recover(str(tmp_path), EngineConf(num_workers=2)) as cluster:
+            for state in (replayed, cluster.recovered_state):
+                assert state.session_epoch == 1
+                assert state.workers == ["worker-0", "worker-1"]
+                assert state.committed_batches == frozenset({0, 1, 2, 3})
+                assert state.checkpoint == expected_checkpoint
+                assert state.next_batch == 4
+            cluster.journal.record_group_commit([4])
+            assert cluster.journal.wal.log_bytes == 0  # the tail outgrew the snapshot
+        snapshot, tail, _stats = load_wal(str(tmp_path))
+        assert tail == []
+        assert set(snapshot) == {"epoch", "workers", "committed_batches", "checkpoint"}
+        assert snapshot["epoch"] == 2
+        assert snapshot["committed_batches"] == {0, 1, 2, 3, 4}
+        assert snapshot["checkpoint"] == expected_checkpoint
 
     def test_membership_record_with_retired_key_replays(self, tmp_path):
         """A journal written before execution templates were removed

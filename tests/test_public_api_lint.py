@@ -69,6 +69,15 @@ def test_engine_conf_has_no_templates_section():
     assert "templates" not in {f.name for f in fields(EngineConf)}
 
 
+def test_ha_conf_has_no_journal_tuning_knobs():
+    # Every journal append is fsynced and compaction follows the snapshot
+    # size, so the two knobs that tuned them are rejected, not ignored.
+    retired = "snapshot_every" "_n_groups"
+    with pytest.raises(ConfigError, match="valid keys") as err:
+        EngineConf.from_dict({"ha": {retired: 4}})
+    assert "wal_dir" in str(err.value) and retired in str(err.value)
+
+
 def test_removed_data_plane_names_appear_nowhere():
     removed = (
         "REPRO_RECORD_BLOCKS",
@@ -114,6 +123,12 @@ def test_removed_data_plane_names_appear_nowhere():
         "REPRO_" "ELASTIC",
         "REPRO_" "HA",
         "REPRO_" "CHAOS",
+        # Journal records and knobs recovery never read.
+        "fsync_every" "_n",
+        "snapshot_every" "_n_groups",
+        "record" "_job",
+        "locations" "_digest",
+        "wal" "_lag",
     )
     files = [REPO_ROOT / "README.md"]
     for top in ("src", "docs", ".github"):
@@ -151,4 +166,4 @@ def test_engine_conf_settable_value_count():
             for value in (getattr(conf, f.name) for f in fields(conf))
         )
 
-    assert leaves(EngineConf()) == 50
+    assert leaves(EngineConf()) == 48

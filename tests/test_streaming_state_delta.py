@@ -138,7 +138,7 @@ def test_any_interleaving_matches_the_deep_copy_reference(steps):
     snapshots = []  # (returned snapshot, deep copy taken at the time)
     journaled = None  # what the last checkpoint record must replay to
     with tempfile.TemporaryDirectory() as wal_dir:
-        journal = ControlJournal(wal_dir, snapshot_every_n_groups=2)
+        journal = ControlJournal(wal_dir)
         prefixes = WalPrefixes(wal_dir)
         prefixes.capture(journaled)
         batch = 0
@@ -188,6 +188,10 @@ def test_any_interleaving_matches_the_deep_copy_reference(steps):
                 journal.record_group_commit([batch])
                 batch += 1
                 prefixes.capture(journaled)
+                # Compaction by size: after a group commit the tail is no
+                # larger than the snapshot it replays on top of.
+                snapshot, tail, _ = prefixes.points[-1]
+                assert len(tail) <= len(snapshot)
             elif kind == "restore":
                 source = snapshots[step[1] % len(snapshots)][0] if snapshots else {}
                 store.restore(source)
@@ -302,7 +306,7 @@ def _parent_checkpoint(batch_index, snapshots):
 class TestJournal:
     def test_full_snapshot_records_replay_unchanged(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path))
-        wal.append("session", {"epoch": 1}, force_sync=True)
+        wal.append("session", {"epoch": 1})
         wal.append("checkpoint", _parent_checkpoint(0, {"s": {"a": 1, "b": [2]}}))
         wal.append("group_commit", {"batch_ids": [1], "job_keys": []})
         wal.append("checkpoint", _parent_checkpoint(1, {"s": {"a": 3}, "t": {}}))
@@ -322,11 +326,13 @@ class TestJournal:
         wal = WriteAheadLog(str(tmp_path))
         wal.append("checkpoint", _parent_checkpoint(0, {"s": {"a": 1, "b": 2}}))
         wal.close()
-        journal = ControlJournal(str(tmp_path), snapshot_every_n_groups=1)
+        journal = ControlJournal(str(tmp_path))
         journal.record_checkpoint(
             1, 2, {}, state_deltas={"s": {"updates": {"c": 3}, "deleted": ["a"]}}
         )
-        journal.record_group_commit([1])  # compacts: the delta folds in
+        # No snapshot yet, so this compacts: the delta folds in.
+        journal.record_group_commit([1])
+        assert journal.wal.log_bytes == 0
         journal.record_checkpoint(
             2, 3, {}, state_deltas={"s": {"updates": {"b": 5}, "deleted": []}}
         )
@@ -417,7 +423,7 @@ class TestOwnContainers:
         conf = EngineConf(
             num_workers=2,
             group_size=2,
-            ha=HaConf(enabled=True, wal_dir=wal_dir, snapshot_every_n_groups=100),
+            ha=HaConf(enabled=True, wal_dir=wal_dir),
         )
         with LocalCluster(conf) as first:
             ctx, counts = _build(first)
@@ -467,7 +473,7 @@ class TestOwnContainers:
         conf = EngineConf(
             num_workers=2,
             group_size=1,
-            ha=HaConf(enabled=True, wal_dir=wal_dir, snapshot_every_n_groups=2),
+            ha=HaConf(enabled=True, wal_dir=wal_dir),
         )
         sink = EpochFencedSink()
         with LocalCluster(conf) as first:
