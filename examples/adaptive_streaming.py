@@ -73,10 +73,8 @@ def main() -> None:
                 batch_interval_s=0.05,
                 scale_up_threshold=0.8,
                 scale_down_threshold=0.05,
-                min_workers=2,
-                max_workers=6,
             ),
-            conf=ElasticConf(cooldown_groups=0),
+            conf=ElasticConf(cooldown_groups=0, min_workers=2, max_workers=6),
         )
         ctx.set_elasticity(controller)
 

@@ -45,8 +45,8 @@ def main() -> None:
         ).foreach_batch(lambda b, records: None)
         ctx.run_batches(num_batches)
 
-        print("group sizes chosen per batch (real engine, AIMD):")
-        print(" ", [s.group_size for s in ctx.batch_stats])
+        print("group sizes chosen per group (real engine, AIMD):")
+        print(" ", [g.batches for g in ctx.recent_groups])
         tuner = cluster.driver.tuner
         assert tuner is not None
         print(f"final group size: {tuner.group_size}")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import TunerConf
+from repro.core.groups import GroupObservation
 from repro.core.tuner import GroupSizeTuner
 from repro.sim.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.sim.microbench import MicroBenchConfig, run_microbenchmark
@@ -298,8 +299,16 @@ def group_tuning_trace(
             g = tuner.group_size
             coord = cost.drizzle_group_coordination(machines, tasks, g)
             coord *= 1.0 + rng.uniform(-0.05, 0.05)
-            total = coord + g * exec_per_batch_s
-            decision = tuner.observe(coord, total)
+            decision = tuner.observe(
+                GroupObservation(
+                    first_batch=0,
+                    batches=g,
+                    scheduling_s=coord,
+                    task_transfer_s=0.0,
+                    wall_s=coord + g * exec_per_batch_s,
+                    workers=machines,
+                )
+            )
             rows.append(
                 {
                     "step": step,
@@ -778,7 +787,7 @@ def elastic_adaptation(
             self._calmed = False
 
         def decide(self, recent, current_workers) -> ScalingDecision:
-            seen = recent[-1].batch_index if recent else -1
+            seen = recent[-1].first_batch + recent[-1].batches - 1 if recent else -1
             if self.observed_at is None and seen >= spike_batch:
                 self.observed_at = seen
                 return ScalingDecision(+delta, f"spike observed at batch {seen}")

@@ -275,17 +275,13 @@ class ChaosConf:
             raise ConfigError("chaos intensity must be positive")
 
 
-# Names resolvable by ElasticController when no policy object is given;
-# the authoritative constructors live in repro.elastic.policies.
-ELASTIC_POLICIES = ("signals", "utilization")
-
-
 @dataclass
 class ElasticConf:
     """Live autoscaling at group boundaries (:mod:`repro.elastic`).
 
     When enabled, the streaming context attaches an
-    :class:`repro.elastic.controller.ElasticController` that consumes the
+    :class:`repro.elastic.controller.ElasticController` (with a
+    ``SignalScalingPolicy``) that reads each group's observation and the
     cluster's live signals at every group boundary (§3.3 — "Drizzle
     updates the list of available resources and adjusts the tasks to be
     scheduled for the next group") and may add or drain workers between
@@ -295,17 +291,13 @@ class ElasticConf:
     """
 
     enabled: bool = False
-    # Cluster-size bounds the controller may move within (the policy's
-    # own min/max are clamped to these).
+    # Cluster-size bounds the controller may move within: the one clamp
+    # on every policy's recommendation.
     min_workers: int = 1
     max_workers: int = 8
     # Group boundaries to hold after a resize before the next decision
     # may fire (lets signals reflect the new layout before reacting).
     cooldown_groups: int = 1
-    # Named policy used when no policy object is handed to the
-    # controller: "signals" (live telemetry thresholds) or "utilization"
-    # (batch wall-time vs interval).
-    policy: str = "signals"
     # Reduce partitions per placement worker for
     # StreamingContext.shard_partitioner: the next group's reduce uses
     # len(placement workers) * shards_per_worker hash partitions.
@@ -318,11 +310,6 @@ class ElasticConf:
             raise ConfigError("elastic max_workers must be >= min_workers")
         if self.cooldown_groups < 0:
             raise ConfigError("elastic cooldown_groups must be >= 0")
-        if self.policy not in ELASTIC_POLICIES:
-            raise ConfigError(
-                f"elastic policy must be one of {ELASTIC_POLICIES}, "
-                f"got {self.policy!r}"
-            )
         if self.shards_per_worker < 1:
             raise ConfigError("elastic shards_per_worker must be >= 1")
 

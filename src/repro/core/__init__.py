@@ -7,7 +7,7 @@ discrete-event cluster simulator (:mod:`repro.sim`).
 
 from repro.core.groups import (
     Assignment,
-    CoordinationLedger,
+    GroupObservation,
     GroupPlan,
     PlacementPolicy,
     StageTemplate,
@@ -25,7 +25,7 @@ from repro.core.tuner import GroupSizeTuner, TunerDecision
 
 __all__ = [
     "Assignment",
-    "CoordinationLedger",
+    "GroupObservation",
     "GroupPlan",
     "PlacementPolicy",
     "StageTemplate",

@@ -14,7 +14,7 @@ whole group.  :class:`PlacementPolicy` computes an assignment once;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -130,33 +130,39 @@ def plan_group(
     )
 
 
-@dataclass
-class CoordinationLedger:
-    """Per-group accounting of where time went (feeds the §3.4 tuner and
-    the Figure 4(b) breakdown).
+# Controllers keep this many recent groups (observations, decisions,
+# plans).  A policy's lookback counts batches and every group holds at
+# least one, so 64 groups serve any lookback up to 64 batches, over ten
+# times UtilizationScalingPolicy's default of 6; longer ones are rejected.
+HISTORY_GROUPS = 64
 
-    The driver charges scheduling/serialization/RPC time here; workers
-    report compute time.  ``overhead_fraction`` is coordination time over
-    end-to-end time for the group.
+
+@dataclass(frozen=True)
+class GroupObservation:
+    """What one group of micro-batches cost: the one input the §3.4
+    tuner and the §3.3 scaling policy read at a group boundary.
+
+    The driver builds it once per group from its scheduling and transfer
+    counters and the group's wall time; the streaming context completes
+    it with the batch range and, when a policy reads them, the cluster's
+    live telemetry ``signals``.
     """
 
-    scheduling_s: float = 0.0
-    task_transfer_s: float = 0.0
-    compute_s: float = 0.0
-    wall_s: float = 0.0
+    first_batch: int
+    batches: int
+    scheduling_s: float
+    task_transfer_s: float
+    wall_s: float
+    workers: int
+    signals: Optional[Dict[str, Any]] = None
 
     @property
     def coordination_s(self) -> float:
         return self.scheduling_s + self.task_transfer_s
 
     @property
-    def overhead_fraction(self) -> float:
+    def overhead(self) -> float:
+        """Coordination time over wall time, capped at 1."""
         if self.wall_s <= 0:
             return 0.0
         return min(self.coordination_s / self.wall_s, 1.0)
-
-    def merge(self, other: "CoordinationLedger") -> None:
-        self.scheduling_s += other.scheduling_s
-        self.task_transfer_s += other.task_transfer_s
-        self.compute_s += other.compute_s
-        self.wall_s += other.wall_s

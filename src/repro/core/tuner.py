@@ -19,11 +19,13 @@ size.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Deque, Dict, Optional
 
 from repro.common.config import TunerConf
 from repro.common.stats import ExponentialAverage
+from repro.core.groups import HISTORY_GROUPS, GroupObservation
 
 # Additive decrease: micro-batches removed from the group per step.
 DECREASE_STEP = 2
@@ -66,7 +68,7 @@ class GroupSizeTuner:
             )
         self._group_size = initial_group_size
         self._ewma = ExponentialAverage(alpha=conf.ewma_alpha)
-        self.history: List[TunerDecision] = []
+        self.history: Deque[TunerDecision] = deque(maxlen=HISTORY_GROUPS)
 
     @property
     def group_size(self) -> int:
@@ -76,18 +78,16 @@ class GroupSizeTuner:
     def smoothed_overhead(self) -> Optional[float]:
         return self._ewma.value if self._ewma.initialized else None
 
-    def observe(self, coordination_time: float, total_time: float) -> TunerDecision:
-        """Feed one group's timing measurements; returns the decision.
-
-        ``coordination_time`` is time spent in scheduling + coordination,
-        ``total_time`` is the end-to-end time for the group.  The ratio is
-        the scheduling overhead of §3.4.
-        """
-        if total_time <= 0:
-            raise ValueError(f"total_time must be positive, got {total_time}")
-        if coordination_time < 0:
-            raise ValueError("coordination_time must be non-negative")
-        observed = min(coordination_time / total_time, 1.0)
+    def observe(self, obs: GroupObservation) -> TunerDecision:
+        """Feed one group's observation; returns the decision.  The
+        observed ratio is the group's coordination time (scheduling +
+        task transfer) over its wall time: the scheduling overhead of
+        §3.4."""
+        if obs.wall_s <= 0:
+            raise ValueError(f"wall_s must be positive, got {obs.wall_s}")
+        if obs.coordination_s < 0:
+            raise ValueError("coordination time must be non-negative")
+        observed = obs.overhead
         smoothed = self._ewma.update(observed)
 
         previous = self._group_size
@@ -102,11 +102,8 @@ class GroupSizeTuner:
             action = "hold"
             proposed = previous
 
+        # A clamped step keeps its action but records that the size held.
         new_size = min(max(proposed, self.conf.min_group_size), self.conf.max_group_size)
-        if new_size == previous and action != "hold":
-            # Clamped at a bound; report the action that was attempted but
-            # record that the size did not move.
-            pass
         self._group_size = new_size
 
         decision = TunerDecision(
@@ -118,26 +115,3 @@ class GroupSizeTuner:
         )
         self.history.append(decision)
         return decision
-
-    def observe_signals(self, signals) -> TunerDecision:
-        """Feed one :meth:`ClusterTelemetry.signals` document instead of
-        raw timings — the cluster-rollup path to the same AIMD step: the
-        ``coordination`` block carries windowed scheduling + transfer
-        time and the matching wall time, so
-        ``observe_signals(telemetry.signals())`` is equivalent to
-        ``observe(coordination_s, wall_s)`` over that window.  A window
-        with no wall time yet (cluster just started, or an empty signals
-        document) holds at the current size rather than erroring."""
-        coord = signals.get("coordination") or {}
-        wall = float(coord.get("wall_s", 0.0))
-        if wall <= 0:
-            decision = TunerDecision(
-                observed_overhead=0.0,
-                smoothed_overhead=self._ewma.value if self._ewma.initialized else 0.0,
-                previous_group_size=self._group_size,
-                new_group_size=self._group_size,
-                action="hold",
-            )
-            self.history.append(decision)
-            return decision
-        return self.observe(float(coord.get("coordination_s", 0.0)), wall)

@@ -3,7 +3,7 @@
 The subsystem has two layers:
 
 * :mod:`repro.elastic.controller` — the :class:`ElasticController` that
-  turns live telemetry signals into applied resizes via the pluggable
+  turns each group's observation into applied resizes via the pluggable
   :mod:`repro.elastic.policies`.  A resize is a membership change plus a
   new reduce-partition count; no state moves, because the driver's
   :class:`~repro.streaming.state.StateStore` is the one copy of it.
@@ -25,7 +25,6 @@ _EXPORTS = {
     "ScheduleScalingPolicy": "repro.elastic.policies",
     "SignalScalingPolicy": "repro.elastic.policies",
     "UtilizationScalingPolicy": "repro.elastic.policies",
-    "resolve_policy": "repro.elastic.policies",
 }
 
 __all__ = sorted(_EXPORTS)
@@ -38,7 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - import-time types for checkers only
         ScheduleScalingPolicy,
         SignalScalingPolicy,
         UtilizationScalingPolicy,
-        resolve_policy,
     )
 
 

@@ -3,10 +3,11 @@
 "At the end of a group boundary, Drizzle updates the list of available
 resources and adjusts the tasks to be scheduled for the next group."
 
-Each group boundary the controller reads the cluster's live telemetry
-signals, asks its :class:`~repro.elastic.policies.ScalingPolicy` for a
-decision, and — when the decision survives the cooldown and the min/max
-clamp — resizes the cluster.  In-flight groups are never disturbed:
+Each group boundary the controller hands the recent groups'
+observations (the newest carrying the cluster's live telemetry signals)
+to its :class:`~repro.elastic.policies.ScalingPolicy`, and — when the
+decision survives the cooldown and the ``ElasticConf`` min/max clamp —
+resizes the cluster.  In-flight groups are never disturbed:
 everything here runs strictly between groups, inside the same barrier
 that takes checkpoints.
 
@@ -22,8 +23,9 @@ path a crash takes.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Deque, List, Optional, Sequence, Tuple
 
 from repro.chaos.injector import chaos_hit
 from repro.chaos.plan import KIND_WORKER_KILL, SITE_ELASTIC_RESIZE
@@ -33,8 +35,9 @@ from repro.common.metrics import (
     COUNT_ELASTIC_WORKERS_ADDED,
     COUNT_ELASTIC_WORKERS_REMOVED,
 )
+from repro.core.groups import HISTORY_GROUPS, GroupObservation
 from repro.dag.partitioning import HashPartitioner
-from repro.elastic.policies import ScalingDecision, ScalingPolicy, resolve_policy
+from repro.elastic.policies import ScalingDecision, ScalingPolicy, SignalScalingPolicy
 from repro.obs.names import EVENT_SCALE_DECISION
 from repro.obs.trace import NULL_RECORDER
 
@@ -55,9 +58,10 @@ class ElasticController:
     ``EngineConf.elastic.enabled``).
 
     Construct with ``(cluster, policy, conf=...)`` — ``conf`` defaults to
-    the cluster's ``EngineConf.elastic`` — then the streaming context calls
-    :meth:`at_group_boundary` with the batch-stats history; read
-    ``.decisions`` and ``.plans``.
+    the cluster's ``EngineConf.elastic``, ``policy`` to a
+    :class:`SignalScalingPolicy` — then the streaming context calls
+    :meth:`at_group_boundary` with its recent groups; read the last
+    ``HISTORY_GROUPS`` ``.decisions`` and ``.plans``.
     """
 
     def __init__(
@@ -70,12 +74,10 @@ class ElasticController:
         self.cluster = cluster
         self.conf = conf if conf is not None else cluster.conf.elastic
         self.policy: ScalingPolicy = (
-            policy
-            if policy is not None
-            else resolve_policy(self.conf.policy, batch_interval_s)
+            policy if policy is not None else SignalScalingPolicy(batch_interval_s)
         )
-        self.decisions: List[ScalingDecision] = []
-        self.plans: List[ScalePlan] = []
+        self.decisions: Deque[ScalingDecision] = deque(maxlen=HISTORY_GROUPS)
+        self.plans: Deque[ScalePlan] = deque(maxlen=HISTORY_GROUPS)
         self._cooldown = 0
         tracer = getattr(cluster, "tracer", None)
         self.tracer = tracer if tracer is not None else NULL_RECORDER
@@ -89,25 +91,12 @@ class ElasticController:
     # ------------------------------------------------------------------
     # The control loop
     # ------------------------------------------------------------------
-    def at_group_boundary(self, batch_stats: Sequence[Any]) -> ScalingDecision:
+    def at_group_boundary(self, recent: Sequence[GroupObservation]) -> ScalingDecision:
         """Consult the policy and (maybe) resize.  Called by the
         streaming context once per completed group, inside the boundary
         barrier — in-flight groups are never disturbed."""
-        driver = self.cluster.driver
-        workers = driver.placement_workers()
-        signals = None
-        telemetry = getattr(self.cluster, "telemetry", None)
-        if telemetry is not None:
-            try:
-                signals = telemetry.signals()
-            except Exception:
-                signals = None
-        if hasattr(self.policy, "decide_with_signals"):
-            decision = self.policy.decide_with_signals(
-                signals, batch_stats, len(workers)
-            )
-        else:
-            decision = self.policy.decide(batch_stats, len(workers))
+        workers = self.cluster.driver.placement_workers()
+        decision = self.policy.decide(recent, len(workers))
         self.cluster.metrics.counter(COUNT_ELASTIC_DECISIONS).add(1)
 
         delta = self._clamp(decision.delta_workers, len(workers))

@@ -5,11 +5,12 @@ layer can choose policies on when to request or relinquish resources.  At
 the end of a group boundary, Drizzle updates the list of available
 resources and adjusts the tasks to be scheduled for the next group."
 
-A policy inspects recent batch timings (and, for the signal-driven
-policy, the cluster's live telemetry signals) and recommends a resize;
-the controller applies recommendations only at group boundaries, so
-in-flight groups are never disturbed.  :mod:`repro.streaming`
-re-exports the common ones.
+A policy reads the recent groups' :class:`~repro.core.groups.GroupObservation`
+records (the newest carries the cluster's live telemetry signals when
+telemetry is armed) and recommends a resize; the controller clamps it to
+``ElasticConf.min_workers..max_workers`` and applies it only at group
+boundaries, so in-flight groups are never disturbed.
+:mod:`repro.streaming` re-exports the common ones.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.common.errors import StreamingError
+from repro.core.groups import HISTORY_GROUPS, GroupObservation
 
 
 @dataclass(frozen=True)
@@ -29,24 +31,13 @@ class ScalingDecision:
 
 
 class ScalingPolicy:
-    """Interface: called once per completed group.
+    """Interface: called once per completed group with the recent groups'
+    observations, oldest first (at most ``HISTORY_GROUPS`` of them)."""
 
-    ``recent`` is the context's :class:`~repro.streaming.context.BatchStats`
-    history.  A policy that also wants the cluster's live signals
-    (:meth:`repro.obs.live.ClusterTelemetry.signals`) overrides
-    :meth:`decide_with_signals`; the default ignores them.
-    """
-
-    def decide(self, recent: Sequence[Any], current_workers: int) -> ScalingDecision:
-        raise NotImplementedError
-
-    def decide_with_signals(
-        self,
-        signals: Optional[Dict[str, Any]],
-        recent: Sequence[Any],
-        current_workers: int,
+    def decide(
+        self, recent: Sequence[GroupObservation], current_workers: int
     ) -> ScalingDecision:
-        return self.decide(recent, current_workers)
+        raise NotImplementedError
 
 
 class UtilizationScalingPolicy(ScalingPolicy):
@@ -65,40 +56,44 @@ class UtilizationScalingPolicy(ScalingPolicy):
         batch_interval_s: float,
         scale_up_threshold: float = 0.8,
         scale_down_threshold: float = 0.3,
-        min_workers: int = 1,
-        max_workers: int = 1024,
         lookback_batches: int = 6,
     ):
         if batch_interval_s <= 0:
             raise StreamingError("batch_interval_s must be positive")
         if not 0.0 < scale_down_threshold < scale_up_threshold:
             raise StreamingError("need 0 < scale_down < scale_up")
-        if not 1 <= min_workers <= max_workers:
-            raise StreamingError("need 1 <= min_workers <= max_workers")
-        if lookback_batches < 1:
-            raise StreamingError("lookback_batches must be >= 1")
+        if not 1 <= lookback_batches <= HISTORY_GROUPS:
+            raise StreamingError(f"lookback_batches must be in 1..{HISTORY_GROUPS}")
         self.batch_interval_s = batch_interval_s
         self.scale_up_threshold = scale_up_threshold
         self.scale_down_threshold = scale_down_threshold
-        self.min_workers = min_workers
-        self.max_workers = max_workers
         self.lookback_batches = lookback_batches
 
-    def decide(self, recent: Sequence[Any], current_workers: int) -> ScalingDecision:
-        window = list(recent)[-self.lookback_batches :]
-        if not window:
+    def utilization(self, recent: Sequence[GroupObservation]) -> Optional[float]:
+        """Mean batch wall time over the batch interval, across the newest
+        ``lookback_batches`` batches (None before the first group).  It
+        walks back group by group; each batch of a group is charged the
+        group's mean wall time."""
+        batches, wall = 0, 0.0
+        for obs in reversed(recent):
+            take = min(obs.batches, self.lookback_batches - batches)
+            batches += take
+            wall += take * obs.wall_s / obs.batches
+            if batches == self.lookback_batches:
+                break
+        return wall / (batches * self.batch_interval_s) if batches else None
+
+    def decide(
+        self, recent: Sequence[GroupObservation], current_workers: int
+    ) -> ScalingDecision:
+        utilization = self.utilization(recent)
+        if utilization is None:
             return ScalingDecision(0, "no data")
-        utilization = sum(s.wall_time_s for s in window) / (
-            len(window) * self.batch_interval_s
-        )
-        if utilization > self.scale_up_threshold and current_workers < self.max_workers:
+        if utilization > self.scale_up_threshold:
             return ScalingDecision(
                 +1, f"utilization {utilization:.2f} > {self.scale_up_threshold}"
             )
-        if (
-            utilization < self.scale_down_threshold
-            and current_workers > self.min_workers
-        ):
+        if utilization < self.scale_down_threshold:
             return ScalingDecision(
                 -1, f"utilization {utilization:.2f} < {self.scale_down_threshold}"
             )
@@ -108,13 +103,15 @@ class UtilizationScalingPolicy(ScalingPolicy):
 class SignalScalingPolicy(UtilizationScalingPolicy):
     """Signal-driven autoscaling over the live telemetry plane.
 
-    Reads :meth:`ClusterTelemetry.signals` each boundary: a queueing-delay
-    p99 above ``queue_delay_p99_ms`` or a positive task backlog means the
-    cluster is falling behind — scale out even if wall-clock utilization
-    has not crossed its threshold yet (queueing is the *leading*
-    indicator; utilization the lagging one).  With healthy signals the
-    utilization rule decides, so the policy degrades gracefully when
-    telemetry is disabled (``signals`` is None).
+    Reads the newest group's telemetry signals
+    (:meth:`ClusterTelemetry.signals`): a queueing-delay p99 above
+    ``queue_delay_p99_ms`` or a positive task backlog means the cluster is
+    falling behind — scale out even if wall-clock utilization has not
+    crossed its threshold yet (queueing is the *leading* indicator;
+    utilization the lagging one).  With healthy signals the utilization
+    rule decides, so the policy degrades gracefully when telemetry is
+    disabled (``signals`` is None).  The controller builds this policy
+    when it is given none.
     """
 
     def __init__(
@@ -132,13 +129,11 @@ class SignalScalingPolicy(UtilizationScalingPolicy):
         self.queue_delay_p99_ms = queue_delay_p99_ms
         self.backlog_threshold = backlog_threshold
 
-    def decide_with_signals(
-        self,
-        signals: Optional[Dict[str, Any]],
-        recent: Sequence[Any],
-        current_workers: int,
+    def decide(
+        self, recent: Sequence[GroupObservation], current_workers: int
     ) -> ScalingDecision:
-        if signals and current_workers < self.max_workers:
+        signals = recent[-1].signals if recent else None
+        if signals:
             p99 = (signals.get("queueing_delay_ms") or {}).get("p99")
             if p99 is not None and p99 > self.queue_delay_p99_ms:
                 return ScalingDecision(
@@ -149,7 +144,7 @@ class SignalScalingPolicy(UtilizationScalingPolicy):
                 return ScalingDecision(
                     +1, f"task backlog {backlog} >= {self.backlog_threshold}"
                 )
-        return self.decide(recent, current_workers)
+        return super().decide(recent, current_workers)
 
 
 class ScheduleScalingPolicy(ScalingPolicy):
@@ -163,10 +158,10 @@ class ScheduleScalingPolicy(ScalingPolicy):
     def __init__(self, schedule: Dict[int, int]):
         self.schedule = dict(schedule)
         self._boundary = 0
-        self.min_workers = 1
-        self.max_workers = 1 << 20
 
-    def decide(self, recent: Sequence[Any], current_workers: int) -> ScalingDecision:
+    def decide(
+        self, recent: Sequence[GroupObservation], current_workers: int
+    ) -> ScalingDecision:
         boundary = self._boundary
         self._boundary += 1
         delta = self.schedule.get(boundary, 0)
@@ -175,20 +170,10 @@ class ScheduleScalingPolicy(ScalingPolicy):
         return ScalingDecision(0, f"no resize scheduled at boundary {boundary}")
 
 
-def resolve_policy(name: str, batch_interval_s: float) -> ScalingPolicy:
-    """Build the policy named by :class:`ElasticConf.policy`."""
-    if name == "signals":
-        return SignalScalingPolicy(batch_interval_s)
-    if name == "utilization":
-        return UtilizationScalingPolicy(batch_interval_s)
-    raise StreamingError(f"unknown elastic policy {name!r}")
-
-
 __all__: Tuple[str, ...] = (
     "ScalingDecision",
     "ScalingPolicy",
     "ScheduleScalingPolicy",
     "SignalScalingPolicy",
     "UtilizationScalingPolicy",
-    "resolve_policy",
 )

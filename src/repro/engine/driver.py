@@ -53,7 +53,7 @@ from repro.common.metrics import (
     TIME_TASK_TRANSFER,
     MetricsRegistry,
 )
-from repro.core.groups import CoordinationLedger, PlacementPolicy, StageTemplate
+from repro.core.groups import GroupObservation, PlacementPolicy, StageTemplate
 from repro.core.prescheduling import DepKey
 from repro.core.tuner import GroupSizeTuner
 from repro.dag.dataset import stream_input
@@ -165,7 +165,7 @@ class Driver:
         self.tuner: Optional[GroupSizeTuner] = (
             GroupSizeTuner(conf.tuner, conf.group_size) if conf.tuner.enabled else None
         )
-        self.last_group_ledger: Optional[CoordinationLedger] = None
+        self.last_group: Optional[GroupObservation] = None
         # Live telemetry store (repro.obs.live), wired by LocalCluster
         # when TelemetryConf.enabled; worker deltas land here.
         self.telemetry = None
@@ -411,7 +411,7 @@ class Driver:
 
         Under DRIZZLE this is one group-scheduling round; under barrier
         modes the jobs run sequentially (the Spark-streaming behaviour).
-        Feeds the group-size tuner with the measured coordination ledger.
+        Records the group's observation as ``last_group`` for the tuner.
         ``sources[i]`` feeds job ``i``'s placeholder source stages (see
         :meth:`_resolve_group_inputs`); several jobs may share one plan.
         Jobs without a key are released once their results are returned;
@@ -448,21 +448,21 @@ class Driver:
                         self._release_unkeyed(job_ids, keys)
             finally:
                 # Runs before the span closes so the annotations are kept.
-                ledger = CoordinationLedger(
-                    scheduling_s=self.metrics.counter(TIME_SCHEDULING).value
-                    - sched_before,
-                    task_transfer_s=self.metrics.counter(TIME_TASK_TRANSFER).value
-                    - xfer_before,
+                sched = self.metrics.counter(TIME_SCHEDULING).value - sched_before
+                xfer = self.metrics.counter(TIME_TASK_TRANSFER).value - xfer_before
+                obs = self.last_group = GroupObservation(
+                    first_batch=0,
+                    batches=len(plans),
+                    scheduling_s=sched,
+                    task_transfer_s=xfer,
                     wall_s=self.clock.now() - start,
+                    workers=len(self.placement_workers()),
                 )
-                self.last_group_ledger = ledger
                 group_span.annotate(
-                    scheduling_s=ledger.scheduling_s,
-                    task_transfer_s=ledger.task_transfer_s,
-                    wall_s=ledger.wall_s,
+                    scheduling_s=sched, task_transfer_s=xfer, wall_s=obs.wall_s
                 )
-                if self.tuner is not None and ledger.wall_s > 0:
-                    decision = self.tuner.observe(ledger.coordination_s, ledger.wall_s)
+                if self.tuner is not None and obs.wall_s > 0:
+                    decision = self.tuner.observe(obs)
                     self.tracer.instant(
                         EVENT_TUNER_DECISION,
                         parent=group_span,

@@ -23,9 +23,10 @@ or off: each worker runs a loop calling
 telemetry preserves the ±0 ``count.rpc_messages`` parity between the
 inproc and tcp transports.
 
-``ClusterTelemetry.signals()`` is the stable API the §3.4 tuner reads
-(:meth:`GroupSizeTuner.observe_signals`) and the future ``repro.elastic``
-controller will subscribe to.
+``ClusterTelemetry.signals()`` is the stable API operators and the
+elastic scaling policy read: with an elastic controller attached, the
+streaming context reads it once per group onto that group's
+:class:`~repro.core.groups.GroupObservation`.
 """
 
 from __future__ import annotations
@@ -430,8 +431,9 @@ class ClusterTelemetry:
     # ------------------------------------------------------------------
     def signals(self, window_s: Optional[float] = None) -> Dict[str, Any]:
         """Windowed health signals, excluding stale workers.  The keys
-        below are a stable API (consumed by the tuner and, later, the
-        elastic controller); see docs/observability.md for the formulas.
+        below are a stable API (``SignalScalingPolicy`` reads them off
+        each group's observation); see docs/observability.md for the
+        formulas.
         """
         self.poll_driver()
         window = window_s if window_s is not None else _SIGNAL_WINDOW_S

@@ -5,7 +5,7 @@ from repro.elastic.policies import (
     ScalingPolicy,
     UtilizationScalingPolicy,
 )
-from repro.streaming.context import BatchStats, StreamingContext
+from repro.streaming.context import StreamingContext
 from repro.streaming.dstream import DStream, SourceDStream
 from repro.streaming.reoptimizer import (
     ReducerCountOptimizer,
@@ -26,7 +26,6 @@ from repro.streaming.state import Checkpoint, CheckpointStore, StateStore
 from repro.streaming.windows import WindowEmitter, window_end, window_for
 
 __all__ = [
-    "BatchStats",
     "StreamingContext",
     "ScalingDecision",
     "ScalingPolicy",

@@ -18,8 +18,9 @@ outputs are not recomputed (lineage reuse).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from collections import deque
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional
 
 from repro.chaos.injector import chaos_hit
 from repro.chaos.plan import (
@@ -29,13 +30,13 @@ from repro.chaos.plan import (
     SITE_STREAM_CHECKPOINT,
     SITE_STREAM_GROUP,
 )
-from repro.common.clock import Clock, WallClock
 from repro.common.errors import DriverKilled, StreamingError
 from repro.common.metrics import (
     COUNT_CHECKPOINT_KEYS_COPIED,
     COUNT_CHECKPOINTS,
     COUNT_HA_RECOVERIES,
 )
+from repro.core.groups import HISTORY_GROUPS, GroupObservation
 from repro.dag.dataset import SourceDataset, stream_input
 from repro.dag.plan import PhysicalPlan, collect_action, compile_plan
 from repro.engine.cluster import LocalCluster
@@ -55,17 +56,6 @@ class OutputOp:
     callback: Callable[[int, List[Any]], None]
 
 
-@dataclass
-class BatchStats:
-    """Timing record for one processed micro-batch."""
-
-    batch_index: int
-    group_id: int
-    group_size: int
-    wall_time_s: float  # group wall time attributed to this batch
-    completed_at: float
-
-
 class StreamingContext:
     """Drives a streaming application over a :class:`LocalCluster`."""
 
@@ -75,7 +65,6 @@ class StreamingContext:
         source: StreamSource,
         batch_interval_s: float = 0.1,
         checkpoint_store: Optional[CheckpointStore] = None,
-        clock: Optional[Clock] = None,
     ):
         if batch_interval_s <= 0:
             raise StreamingError("batch_interval_s must be positive")
@@ -85,14 +74,14 @@ class StreamingContext:
         self.source = source
         self.batch_interval_s = batch_interval_s
         self.checkpoints = checkpoint_store or CheckpointStore()
-        self.clock = clock or WallClock()
         tracer = getattr(cluster, "tracer", None)
         self.tracer = tracer if tracer is not None else NULL_RECORDER
         self.output_ops: List[OutputOp] = []
         self.state_stores: Dict[str, StateStore] = {}
         self.next_batch = 0
-        self.batch_stats: List[BatchStats] = []
-        self._group_seq = 0
+        # The driver's observation of each recent group, completed with
+        # its batch range: what the elastic policy reads at a boundary.
+        self.recent_groups: Deque[GroupObservation] = deque(maxlen=HISTORY_GROUPS)
         self._batches_since_checkpoint = 0
         self._lock = threading.Lock()
         self._elasticity = None  # optional Elastic(ity)Controller
@@ -181,7 +170,7 @@ class StreamingContext:
                 # any state or sink output.
                 self.restore_and_replay()
             if self._elasticity is not None:
-                self._elasticity.at_group_boundary(self.batch_stats)
+                self._elasticity.at_group_boundary(self.recent_groups)
 
     def _driver_chaos(self, where: str) -> None:
         """A scheduled driver kill (repro.ha chaos): raise out of the
@@ -202,7 +191,6 @@ class StreamingContext:
 
     def _run_group(self, batch_indices: range, reuse: bool = True) -> None:
         self._driver_chaos("mid_group")
-        start = self.clock.now()
         # One plan per output operation for the whole group (§3.1: the
         # DAG is static).  Its source is a placeholder, so the plan holds
         # no batch's input and its stage blob is the same in every group.
@@ -233,28 +221,26 @@ class StreamingContext:
         results = self.driver.run_group(
             plans, job_keys=keys, reuse=reuse, sources=sources
         )
-        wall = self.clock.now() - start
         telemetry = getattr(self.cluster, "telemetry", None)
+        signals = None
+        if telemetry is not None and self._elasticity is not None:
+            signals = telemetry.signals()
+        obs = replace(
+            self.driver.last_group,
+            first_batch=batch_indices.start,
+            batches=len(batch_indices),
+            signals=signals,
+        )
+        self.recent_groups.append(obs)
         if telemetry is not None:
             for _ in batch_indices:
-                telemetry.observe_batch(wall / max(len(batch_indices), 1))
-        group_id = self._group_seq
-        self._group_seq += 1
+                telemetry.observe_batch(obs.wall_s / obs.batches)
         # Deliver callbacks strictly in batch order.
         cursor = 0
         for batch_index in batch_indices:
             for op in self.output_ops:
                 op.callback(batch_index, results[cursor])
                 cursor += 1
-            self.batch_stats.append(
-                BatchStats(
-                    batch_index=batch_index,
-                    group_id=group_id,
-                    group_size=len(batch_indices),
-                    wall_time_s=wall / max(len(batch_indices), 1),
-                    completed_at=self.clock.now(),
-                )
-            )
 
     # ------------------------------------------------------------------
     # Checkpointing and recovery (§3.3)

@@ -16,11 +16,13 @@ inside a group stay fixed, as §3.6 requires.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, List, Tuple
+from typing import Any, Callable, Deque, List, Tuple
 
 from repro.common.errors import StreamingError
 from repro.common.stats import ExponentialAverage
+from repro.core.groups import HISTORY_GROUPS
 
 
 @dataclass
@@ -54,7 +56,7 @@ class ReducerCountOptimizer:
         self.max_reducers = max_reducers
         self._reducers = initial_reducers
         self._ewma = ExponentialAverage(alpha=ewma_alpha)
-        self.history: List[OptimizerDecision] = []
+        self.history: Deque[OptimizerDecision] = deque(maxlen=HISTORY_GROUPS)
 
     @property
     def current_reducers(self) -> int:

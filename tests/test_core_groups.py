@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.groups import (
-    CoordinationLedger,
+    GroupObservation,
     PlacementPolicy,
     StageTemplate,
     plan_group,
@@ -110,25 +110,25 @@ class TestGroupPlan:
         assert plan.assignment is plan.assignment
 
 
-class TestCoordinationLedger:
+def observation(scheduling_s=0.0, task_transfer_s=0.0, wall_s=0.0):
+    return GroupObservation(
+        first_batch=0,
+        batches=1,
+        scheduling_s=scheduling_s,
+        task_transfer_s=task_transfer_s,
+        wall_s=wall_s,
+        workers=1,
+    )
+
+
+class TestGroupObservation:
     def test_overhead_fraction(self):
-        ledger = CoordinationLedger(
-            scheduling_s=0.1, task_transfer_s=0.1, compute_s=1.0, wall_s=1.0
-        )
-        assert ledger.coordination_s == pytest.approx(0.2)
-        assert ledger.overhead_fraction == pytest.approx(0.2)
+        obs = observation(scheduling_s=0.1, task_transfer_s=0.1, wall_s=1.0)
+        assert obs.coordination_s == pytest.approx(0.2)
+        assert obs.overhead == pytest.approx(0.2)
 
     def test_zero_wall_is_zero_overhead(self):
-        assert CoordinationLedger().overhead_fraction == 0.0
+        assert observation().overhead == 0.0
 
     def test_fraction_capped_at_one(self):
-        ledger = CoordinationLedger(scheduling_s=5.0, wall_s=1.0)
-        assert ledger.overhead_fraction == 1.0
-
-    def test_merge(self):
-        a = CoordinationLedger(0.1, 0.2, 0.3, 1.0)
-        b = CoordinationLedger(0.1, 0.1, 0.1, 0.5)
-        a.merge(b)
-        assert a.scheduling_s == pytest.approx(0.2)
-        assert a.task_transfer_s == pytest.approx(0.3)
-        assert a.wall_s == pytest.approx(1.5)
+        assert observation(scheduling_s=5.0, wall_s=1.0).overhead == 1.0

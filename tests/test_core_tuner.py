@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.config import TunerConf
+from repro.core.groups import GroupObservation
 from repro.core.tuner import GroupSizeTuner
 
 
@@ -17,40 +18,51 @@ def make_tuner(initial=10, lower=0.05, upper=0.2, **kwargs) -> GroupSizeTuner:
     return GroupSizeTuner(conf, initial_group_size=initial)
 
 
+def group(coordination_s, wall_s) -> GroupObservation:
+    return GroupObservation(
+        first_batch=0,
+        batches=1,
+        scheduling_s=coordination_s,
+        task_transfer_s=0.0,
+        wall_s=wall_s,
+        workers=1,
+    )
+
+
 class TestAimdBehavior:
     def test_high_overhead_multiplicative_increase(self):
         tuner = make_tuner(initial=10)
-        decision = tuner.observe(coordination_time=0.5, total_time=1.0)
+        decision = tuner.observe(group(0.5, 1.0))
         assert decision.action == "increase"
         assert decision.new_group_size == 20  # x increase_factor (2.0)
 
     def test_low_overhead_additive_decrease(self):
         tuner = make_tuner(initial=10)
-        decision = tuner.observe(coordination_time=0.001, total_time=1.0)
+        decision = tuner.observe(group(0.001, 1.0))
         assert decision.action == "decrease"
         assert decision.new_group_size == 8  # minus DECREASE_STEP (2)
 
     def test_in_band_holds(self):
         tuner = make_tuner(initial=10)
-        decision = tuner.observe(coordination_time=0.1, total_time=1.0)
+        decision = tuner.observe(group(0.1, 1.0))
         assert decision.action == "hold"
         assert decision.new_group_size == 10
 
     def test_bounded_below(self):
         tuner = make_tuner(initial=1)
         for _ in range(5):
-            decision = tuner.observe(0.0, 1.0)
+            decision = tuner.observe(group(0.0, 1.0))
         assert decision.new_group_size == 1
 
     def test_bounded_above(self):
         tuner = make_tuner(initial=900)
         for _ in range(5):
-            decision = tuner.observe(0.9, 1.0)
+            decision = tuner.observe(group(0.9, 1.0))
         assert decision.new_group_size == 1000  # max_group_size default
 
     def test_increase_always_moves_when_unclamped(self):
         tuner = make_tuner(initial=1, increase_factor=1.4)
-        decision = tuner.observe(0.9, 1.0)
+        decision = tuner.observe(group(0.9, 1.0))
         # round(1 * 1.4) == 1, but an increase must make progress.
         assert decision.new_group_size == 2
 
@@ -62,7 +74,7 @@ class TestAimdBehavior:
         exec_per_batch = 0.1
         for _ in range(40):
             g = tuner.group_size
-            tuner.observe(coord, coord + g * exec_per_batch)
+            tuner.observe(group(coord, coord + g * exec_per_batch))
         overhead = coord / (coord + tuner.group_size * exec_per_batch)
         assert overhead <= 0.25  # settles at/below the upper bound region
         assert tuner.group_size >= 8
@@ -70,19 +82,19 @@ class TestAimdBehavior:
     def test_reacts_to_environment_change(self):
         tuner = make_tuner(initial=1)
         for _ in range(30):
-            tuner.observe(0.2, 0.2 + tuner.group_size * 0.1)
+            tuner.observe(group(0.2, 0.2 + tuner.group_size * 0.1))
         big = tuner.group_size
         # Coordination suddenly becomes cheap (smaller cluster): the tuner
         # should decrease the group size to regain adaptability.
         for _ in range(60):
-            tuner.observe(0.0005, 0.0005 + tuner.group_size * 0.1)
+            tuner.observe(group(0.0005, 0.0005 + tuner.group_size * 0.1))
         assert tuner.group_size < big
 
     def test_ewma_damps_single_spike(self):
         tuner = make_tuner(initial=10, ewma_alpha=0.1)
         for _ in range(10):
-            tuner.observe(0.1, 1.0)  # in-band steady state
-        decision = tuner.observe(0.9, 1.0)  # one GC-like spike
+            tuner.observe(group(0.1, 1.0))  # in-band steady state
+        decision = tuner.observe(group(0.9, 1.0))  # one GC-like spike
         assert decision.action == "hold"  # smoothed value still in band
         assert tuner.group_size == 10
 
@@ -91,12 +103,12 @@ class TestValidation:
     def test_total_time_positive(self):
         tuner = make_tuner()
         with pytest.raises(ValueError):
-            tuner.observe(0.1, 0.0)
+            tuner.observe(group(0.1, 0.0))
 
     def test_negative_coordination_rejected(self):
         tuner = make_tuner()
         with pytest.raises(ValueError):
-            tuner.observe(-0.1, 1.0)
+            tuner.observe(group(-0.1, 1.0))
 
     def test_initial_clamped_to_bounds(self):
         conf = TunerConf(enabled=True, min_group_size=5, max_group_size=50)
@@ -105,7 +117,7 @@ class TestValidation:
 
     def test_overhead_capped_at_one(self):
         tuner = make_tuner()
-        decision = tuner.observe(5.0, 1.0)
+        decision = tuner.observe(group(5.0, 1.0))
         assert decision.observed_overhead == 1.0
 
 
@@ -118,78 +130,26 @@ class TestProperties:
     def test_group_size_always_in_bounds(self, observations):
         tuner = make_tuner(initial=10)
         for coord, total in observations:
-            tuner.observe(coord, total)
+            tuner.observe(group(coord, total))
             assert 1 <= tuner.group_size <= 1000
 
     @given(st.floats(0.21, 1.0), st.integers(1, 400))
     def test_above_upper_never_decreases(self, overhead, initial):
         tuner = make_tuner(initial=initial, ewma_alpha=1.0)
         before = tuner.group_size
-        decision = tuner.observe(overhead, 1.0)
+        decision = tuner.observe(group(overhead, 1.0))
         assert decision.new_group_size >= before
 
     @given(st.floats(0.0, 0.049), st.integers(1, 400))
     def test_below_lower_never_increases(self, overhead, initial):
         tuner = make_tuner(initial=initial, ewma_alpha=1.0)
         before = tuner.group_size
-        decision = tuner.observe(overhead, 1.0)
+        decision = tuner.observe(group(overhead, 1.0))
         assert decision.new_group_size <= before
 
     @given(st.lists(st.floats(0, 1), min_size=1, max_size=50))
     def test_history_records_every_observation(self, overheads):
         tuner = make_tuner()
         for o in overheads:
-            tuner.observe(o, 1.0)
+            tuner.observe(group(o, 1.0))
         assert len(tuner.history) == len(overheads)
-
-
-class TestSignalsIntegration:
-    """The tuner can consume the live telemetry plane's derived signals.
-
-    ``ClusterTelemetry.signals()["coordination"]`` carries the same
-    coordination-time / wall-time pair the driver already feeds into
-    ``observe``; ``observe_signals`` must reduce to exactly that call, so
-    wiring the tuner to the telemetry plane changes no decisions.
-    """
-
-    def make_signals(self, scheduling_s, transfer_s, wall_s):
-        from repro.common.clock import ManualClock
-        from repro.common.config import TelemetryConf
-        from repro.common.metrics import (
-            TIME_SCHEDULING,
-            TIME_TASK_TRANSFER,
-            MetricsRegistry,
-        )
-        from repro.obs.live import ClusterTelemetry
-
-        clock = ManualClock(start=100.0)
-        registry = MetricsRegistry(clock)
-        store = ClusterTelemetry(
-            TelemetryConf(enabled=True),
-            clock=clock,
-            driver_metrics=registry,
-            stale_after_s=60.0,
-        )
-        store.poll_driver()
-        registry.counter(TIME_SCHEDULING).add(scheduling_s)
-        registry.counter(TIME_TASK_TRANSFER).add(transfer_s)
-        clock.advance(wall_s)
-        return store.signals(window_s=10.0)
-
-    def test_high_overhead_signal_matches_direct_observe(self):
-        signals = self.make_signals(scheduling_s=0.3, transfer_s=0.2, wall_s=1.0)
-        assert signals["coordination"]["overhead"] == pytest.approx(0.5)
-        via_signals = make_tuner(initial=10).observe_signals(signals)
-        direct = make_tuner(initial=10).observe(0.5, 1.0)
-        assert via_signals.action == direct.action == "increase"
-        assert via_signals.new_group_size == direct.new_group_size == 20
-
-    def test_low_overhead_signal_decreases(self):
-        signals = self.make_signals(scheduling_s=0.0005, transfer_s=0.0005, wall_s=1.0)
-        decision = make_tuner(initial=10).observe_signals(signals)
-        assert decision.action == "decrease"
-        assert decision.new_group_size == 8
-
-    def test_empty_signals_hold_without_error(self):
-        decision = make_tuner(initial=10).observe_signals({})
-        assert decision.new_group_size == 10

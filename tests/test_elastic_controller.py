@@ -15,11 +15,13 @@ from repro.chaos.plan import (
 from repro.common.config import ElasticConf, EngineConf, TelemetryConf
 from repro.common.errors import ConfigError
 from repro.common.metrics import (
+    COUNT_ELASTIC_DECISIONS,
     COUNT_ELASTIC_RESIZES,
     COUNT_ELASTIC_WORKERS_ADDED,
     COUNT_ELASTIC_WORKERS_REMOVED,
     COUNT_RPC_MESSAGES,
 )
+from repro.core.groups import GroupObservation
 from repro.elastic.controller import ElasticController
 from repro.elastic.policies import ScheduleScalingPolicy, SignalScalingPolicy
 from repro.engine.cluster import LocalCluster
@@ -183,7 +185,7 @@ class TestResizeMovesNothing:
             )
             ctx.set_elasticity(controller)
             before = cluster.metrics.counters_snapshot()[COUNT_RPC_MESSAGES]
-            controller.at_group_boundary(ctx.batch_stats)
+            controller.at_group_boundary(ctx.recent_groups)
             after = cluster.metrics.counters_snapshot()[COUNT_RPC_MESSAGES]
             assert [p.delta for p in controller.plans] == [+1]
             assert after == before
@@ -215,27 +217,77 @@ class TestResizeMovesNothing:
         assert victim == ("worker-2" if schedule[0] > 0 else "worker-1")
 
 
+def observed(signals):
+    """One in-band group (utilization 0.5 at a 0.1 s interval) carrying
+    ``signals``."""
+    return [
+        GroupObservation(
+            first_batch=0,
+            batches=1,
+            scheduling_s=0.0,
+            task_transfer_s=0.0,
+            wall_s=0.05,
+            workers=2,
+            signals=signals,
+        )
+    ]
+
+
 class TestSignalPolicy:
     def test_queueing_delay_is_the_leading_indicator(self):
         policy = SignalScalingPolicy(batch_interval_s=0.1, queue_delay_p99_ms=50.0)
-        d = policy.decide_with_signals(
-            {"queueing_delay_ms": {"p99": 120.0}}, [], current_workers=2
+        d = policy.decide(
+            observed({"queueing_delay_ms": {"p99": 120.0}}), current_workers=2
         )
         assert d.delta_workers == +1 and "queueing delay" in d.reason
 
     def test_backlog_scales_out(self):
         policy = SignalScalingPolicy(batch_interval_s=0.1, backlog_threshold=3)
-        d = policy.decide_with_signals({"backlog": 7}, [], current_workers=2)
+        d = policy.decide(observed({"backlog": 7}), current_workers=2)
         assert d.delta_workers == +1 and "backlog" in d.reason
 
     def test_healthy_signals_fall_back_to_utilization(self):
         policy = SignalScalingPolicy(batch_interval_s=0.1)
-        d = policy.decide_with_signals(
-            {"queueing_delay_ms": {"p99": 1.0}, "backlog": 0},
-            [],
+        d = policy.decide(
+            observed({"queueing_delay_ms": {"p99": 1.0}, "backlog": 0}),
             current_workers=2,
         )
         assert d.delta_workers == 0
+
+    def test_default_policy_reads_the_signals_on_the_newest_group(self):
+        """A controller given no policy decides with a SignalScalingPolicy
+        from the signals the context put on the newest observation."""
+        with LocalCluster(EngineConf(num_workers=2)) as cluster:
+            controller = ElasticController(
+                cluster, conf=ElasticConf(cooldown_groups=0), batch_interval_s=0.1
+            )
+            assert isinstance(controller.policy, SignalScalingPolicy)
+            decision = controller.at_group_boundary(observed({"backlog": 5}))
+            assert decision.delta_workers == +1
+            assert len(cluster.driver.placement_workers()) == 3
+
+    def test_raising_signals_propagate_out_of_the_batch_loop(self):
+        """With a controller attached the context reads ``signals()`` once
+        per group, and an error there is the caller's to see; without a
+        controller the context does not read it at all."""
+        conf = EngineConf(num_workers=2, group_size=2, telemetry=TelemetryConf(enabled=True))
+        with LocalCluster(conf) as cluster:
+            ctx = StreamingContext(
+                cluster, FixedBatchSource(BATCHES, 4), batch_interval_s=0.05
+            )
+            ctx.stream().foreach_batch(lambda b, r: None)
+
+            def broken_signals(window_s=None):
+                raise RuntimeError("signals unavailable")
+
+            cluster.telemetry.signals = broken_signals
+            ctx.run_batches(2)
+            ctx.set_elasticity(
+                ElasticController(cluster, ScheduleScalingPolicy({}), batch_interval_s=0.05)
+            )
+            with pytest.raises(RuntimeError, match="signals unavailable"):
+                ctx.run_batches(2)
+            assert cluster.metrics.counters_snapshot().get(COUNT_ELASTIC_DECISIONS, 0) == 0
 
 
 class TestConfAndCompat:
@@ -244,7 +296,6 @@ class TestConfAndCompat:
             ElasticConf(min_workers=0),
             ElasticConf(min_workers=4, max_workers=2),
             ElasticConf(cooldown_groups=-1),
-            ElasticConf(policy="nope"),
             ElasticConf(shards_per_worker=0),
         ):
             with pytest.raises(ConfigError):

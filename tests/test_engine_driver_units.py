@@ -77,11 +77,11 @@ class TestGroupLedgerAndTuner:
     def test_run_group_populates_ledger(self):
         with make_cluster(SchedulingMode.DRIZZLE, group_size=3) as cluster:
             cluster.run_group([simple_plan() for _ in range(3)])
-            ledger = cluster.driver.last_group_ledger
-            assert ledger is not None
-            assert ledger.wall_s > 0
-            assert ledger.scheduling_s >= 0
-            assert 0.0 <= ledger.overhead_fraction <= 1.0
+            obs = cluster.driver.last_group
+            assert obs is not None
+            assert obs.wall_s > 0
+            assert obs.scheduling_s >= 0
+            assert 0.0 <= obs.overhead <= 1.0
 
     def test_tuner_fed_per_group(self):
         conf = EngineConf(

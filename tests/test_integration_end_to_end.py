@@ -101,8 +101,8 @@ class TestYahooEndToEnd:
             ctx = StreamingContext(cluster, FixedBatchSource(batches, 4), 0.05)
             controller = ElasticController(
                 cluster,
-                UtilizationScalingPolicy(batch_interval_s=0.05, max_workers=5),
-                conf=ElasticConf(cooldown_groups=0),
+                UtilizationScalingPolicy(batch_interval_s=0.05),
+                conf=ElasticConf(cooldown_groups=0, max_workers=5),
             )
             ctx.set_elasticity(controller)
             store = ctx.state_store("counts")

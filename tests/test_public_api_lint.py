@@ -78,6 +78,14 @@ def test_ha_conf_has_no_journal_tuning_knobs():
     assert "wal_dir" in str(err.value) and retired in str(err.value)
 
 
+def test_elastic_conf_has_no_policy_knob():
+    # The controller builds a SignalScalingPolicy when given no policy
+    # object, so a configuration that still names one is rejected.
+    with pytest.raises(ConfigError, match="valid keys") as err:
+        EngineConf.from_dict({"elastic": {"policy": "signals"}})
+    assert "cooldown_groups" in str(err.value) and "policy" in str(err.value)
+
+
 def test_removed_data_plane_names_appear_nowhere():
     removed = (
         "REPRO_RECORD_BLOCKS",
@@ -129,6 +137,15 @@ def test_removed_data_plane_names_appear_nowhere():
         "record" "_job",
         "locations" "_digest",
         "wal" "_lag",
+        # The second and third readings of a group, and the policy knob.
+        "observe" "_signals",
+        "decide_with" "_signals",
+        "resolve" "_policy",
+        "ELASTIC" "_POLICIES",
+        "Batch" "Stats",
+        "batch" "_stats",
+        "Coordination" "Ledger",
+        "last_group" "_ledger",
     )
     files = [REPO_ROOT / "README.md"]
     for top in ("src", "docs", ".github"):
@@ -166,4 +183,4 @@ def test_engine_conf_settable_value_count():
             for value in (getattr(conf, f.name) for f in fields(conf))
         )
 
-    assert leaves(EngineConf()) == 48
+    assert leaves(EngineConf()) == 47

@@ -4,12 +4,24 @@ re-optimization (§3.5), and elastic scaling policies (§3.3)."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.config import ElasticConf, EngineConf, SchedulingMode
+from repro.common.config import (
+    ElasticConf,
+    EngineConf,
+    ExecutorConf,
+    SchedulingMode,
+    TransportConf,
+    TunerConf,
+)
 from repro.common.errors import StreamingError
+from repro.core.groups import HISTORY_GROUPS, GroupObservation
 from repro.elastic import ElasticController
-from repro.elastic.policies import ScalingDecision, UtilizationScalingPolicy
+from repro.elastic.policies import (
+    ScalingDecision,
+    ScheduleScalingPolicy,
+    UtilizationScalingPolicy,
+)
 from repro.engine.cluster import LocalCluster
-from repro.streaming.context import BatchStats, StreamingContext
+from repro.streaming.context import StreamingContext
 from repro.streaming.reoptimizer import (
     ReducerCountOptimizer,
     adaptive_reduce_by_key,
@@ -187,8 +199,8 @@ class TestAdaptiveReduceOnEngine:
 class TestUtilizationScalingPolicy:
     def _stats(self, wall, n=6, interval=0.1):
         return [
-            BatchStats(batch_index=i, group_id=0, group_size=n,
-                       wall_time_s=wall, completed_at=0.0)
+            GroupObservation(first_batch=i, batches=1, scheduling_s=0.0,
+                             task_transfer_s=0.0, wall_s=wall, workers=4)
             for i in range(n)
         ]
 
@@ -208,10 +220,15 @@ class TestUtilizationScalingPolicy:
         assert decision.delta_workers == 0
 
     def test_respects_min_max(self):
-        policy = UtilizationScalingPolicy(batch_interval_s=0.1, min_workers=4,
-                                          max_workers=4)
-        assert policy.decide(self._stats(0.095), 4).delta_workers == 0
-        assert policy.decide(self._stats(0.01), 4).delta_workers == 0
+        conf = ElasticConf(min_workers=4, max_workers=4, cooldown_groups=0)
+        with LocalCluster(EngineConf(num_workers=4)) as cluster:
+            controller = ElasticController(
+                cluster, UtilizationScalingPolicy(batch_interval_s=0.1), conf=conf
+            )
+            controller.at_group_boundary(self._stats(0.095))
+            controller.at_group_boundary(self._stats(0.01))
+            assert not controller.plans
+            assert len(cluster.driver.placement_workers()) == 4
 
     def test_no_data_holds(self):
         policy = UtilizationScalingPolicy(batch_interval_s=0.1)
@@ -255,9 +272,8 @@ class TestElasticityOnEngine:
         batches = [[f"w{i}" for i in range(4)] for _b in range(4)]
         cluster, ctx = make_fixed_ctx(batches, group_size=2, workers=3)
         with cluster:
-            policy = UtilizationScalingPolicy(
-                batch_interval_s=10.0, min_workers=1  # everything looks idle
-            )
+            # Everything looks idle.
+            policy = UtilizationScalingPolicy(batch_interval_s=10.0)
             controller = ElasticController(cluster, policy, conf=ElasticConf())
             ctx.set_elasticity(controller)
             seen = []
@@ -266,3 +282,122 @@ class TestElasticityOnEngine:
             # Workers drained from placement but results stay correct.
             assert seen == [4, 4, 4, 4]
             assert len(cluster.driver.placement_workers()) < 3
+
+
+def parent_utilization(group_sizes, group_walls, lookback, interval):
+    """The per-batch rule the group window replaces: every batch carries
+    its group's mean wall time, and the window is the newest
+    ``lookback`` batches."""
+    per_batch = [
+        wall / size for size, wall in zip(group_sizes, group_walls) for _ in range(size)
+    ]
+    window = per_batch[-lookback:]
+    return sum(window) / (len(window) * interval) if window else None
+
+
+class TestGroupWindowUtilization:
+    @pytest.mark.parametrize("g", [1, 4, 10])
+    def test_matches_the_per_batch_rule(self, g):
+        # Whole groups of g and a final partial group, every prefix of the
+        # run, so windows cut inside a group and windows shorter than the
+        # lookback are both covered.
+        sizes = [g] * 5 + [max(1, g // 2)]
+        walls = [0.01 * (i + 1) * size for i, size in enumerate(sizes)]
+        recent = [
+            GroupObservation(first_batch=sum(sizes[:i]), batches=size, scheduling_s=0.0,
+                             task_transfer_s=0.0, wall_s=wall, workers=2)
+            for i, (size, wall) in enumerate(zip(sizes, walls))
+        ]
+        policy = UtilizationScalingPolicy(batch_interval_s=0.1, lookback_batches=6)
+        for k in range(len(recent) + 1):
+            expected = parent_utilization(sizes[:k], walls[:k], 6, 0.1)
+            got = policy.utilization(recent[:k])
+            assert got == (None if expected is None else pytest.approx(expected))
+
+    def test_lookback_longer_than_the_kept_history_is_rejected(self):
+        with pytest.raises(StreamingError):
+            UtilizationScalingPolicy(batch_interval_s=0.1, lookback_batches=HISTORY_GROUPS + 1)
+
+
+class TestBoundedHistory:
+    def test_long_stream_keeps_every_window_bounded(self):
+        """20k batches at g=100 with the tuner, an elastic controller and
+        an adaptive reduce armed: every history a controller keeps stays
+        within its bound, however long the stream runs."""
+        num_batches, g = 20_000, 100
+        conf = EngineConf(
+            num_workers=2,
+            group_size=g,
+            scheduling_mode=SchedulingMode.DRIZZLE,
+            executor=ExecutorConf(backend="inline"),
+            transport=TransportConf(backend="inproc"),
+            # Pinned at g so the run's length is known; still observes.
+            tuner=TunerConf(enabled=True, min_group_size=g, max_group_size=g),
+        )
+        with LocalCluster(conf) as cluster:
+            ctx = StreamingContext(cluster, FixedBatchSource([[("k", 1)]] * num_batches, 1), 0.05)
+            controller = ElasticController(
+                cluster, ScheduleScalingPolicy({}), conf=ElasticConf(cooldown_groups=0)
+            )
+            ctx.set_elasticity(controller)
+            opt = ReducerCountOptimizer(initial_reducers=1)
+            attach_adaptive_output(
+                adaptive_reduce_by_key(ctx.stream(), lambda a, b: a + b, optimizer=opt),
+                opt,
+                lambda b, records: None,
+            )
+            ctx.run_batches(num_batches)
+            tuner = cluster.driver.tuner
+            assert ctx.next_batch == num_batches
+            assert len(controller.decisions) == len(ctx.recent_groups) == HISTORY_GROUPS
+            assert len(tuner.history) == len(opt.history) == HISTORY_GROUPS
+            assert len(controller.plans) <= HISTORY_GROUPS
+            assert ctx.recent_groups[-1].first_batch == num_batches - g
+            assert opt.history[-1].batch_index == num_batches - 1
+
+
+class TestOnePartitionCountOwner:
+    def test_shard_and_adaptive_reduces_keep_their_own_counts_across_a_resize(self):
+        """A shard-partitioned reduce follows the membership and an
+        adaptive reduce follows its optimizer, in the same context, across
+        one scale-out: neither owner moves the other's count."""
+        batches = [[f"k{i}" for i in range(30)] for _b in range(6)]
+        cluster, ctx = make_fixed_ctx(batches, group_size=2, workers=2)
+        with cluster:
+            controller = ElasticController(
+                cluster,
+                ScheduleScalingPolicy({0: +1}),
+                conf=ElasticConf(cooldown_groups=0, shards_per_worker=2),
+            )
+            ctx.set_elasticity(controller)
+            pairs = ctx.stream().map(lambda w: (w, 1))
+            sharded = {}
+            pairs.reduce_by_key(
+                lambda a, b: a + b, 4, partitioner=ctx.shard_partitioner("counts")
+            ).foreach_batch(lambda b, records: sharded.update({b: dict(records)}))
+            opt = ReducerCountOptimizer(
+                target_records_per_reducer=10, initial_reducers=3, max_reducers=8
+            )
+            adaptive = {}
+            attach_adaptive_output(
+                adaptive_reduce_by_key(pairs, lambda a, b: a + b, optimizer=opt),
+                opt,
+                lambda b, records: adaptive.update({b: dict(records)}),
+            )
+            counts = []
+            run_group = cluster.driver.run_group
+
+            def recording_run_group(plans, **kwargs):
+                # Jobs are batch-major, one per output op: the first two
+                # are the group's first batch's sharded and adaptive jobs.
+                counts.append(tuple(p.result_stage.num_tasks for p in plans[:2]))
+                return run_group(plans, **kwargs)
+
+            cluster.driver.run_group = recording_run_group
+            ctx.run_batches(6)
+            # 2 workers x 2 shards, then 3 x 2 after the resize at the first
+            # boundary; the optimizer's 30 keys / 10 per reducer stays 3.
+            assert counts == [(4, 3), (6, 3), (6, 3)]
+            assert [p.delta for p in controller.plans] == [+1]
+            expected = {f"k{i}": 1 for i in range(30)}
+            assert all(sharded[b] == adaptive[b] == expected for b in range(6))

@@ -89,17 +89,15 @@ class TestBatchLoop:
         with cluster:
             ctx.stream().foreach_batch(lambda b, r: None)
             ctx.run_batches(8)
-            group_sizes = {s.group_size for s in ctx.batch_stats}
-            assert group_sizes == {4}
-            assert len({s.group_id for s in ctx.batch_stats}) == 2
+            assert [g.batches for g in ctx.recent_groups] == [4, 4]
+            assert [g.first_batch for g in ctx.recent_groups] == [0, 4]
 
     def test_final_partial_group(self):
         cluster, ctx = make_fixed_ctx(word_batches(5, n=2), group_size=3)
         with cluster:
             ctx.stream().foreach_batch(lambda b, r: None)
             ctx.run_batches(5)
-            sizes = [s.group_size for s in ctx.batch_stats]
-            assert sizes == [3, 3, 3, 2, 2]
+            assert [g.batches for g in ctx.recent_groups] == [3, 2]
 
     def test_callbacks_delivered_in_batch_order(self):
         cluster, ctx = make_fixed_ctx(word_batches(5, n=2), group_size=5)
@@ -341,7 +339,6 @@ class TestTunerIntegration:
             ctx.run_batches(20)
             # Coordination dominates these tiny batches, so the AIMD tuner
             # must have grown the group size.
-            sizes = [s.group_size for s in ctx.batch_stats]
-            assert max(sizes) > 1
+            assert max(g.batches for g in ctx.recent_groups) > 1
             assert cluster.driver.tuner is not None
             assert len(cluster.driver.tuner.history) >= 2
