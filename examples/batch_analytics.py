@@ -11,7 +11,7 @@ Table 2 workload analysis over a synthetic SQL corpus.
 from repro.bench.reporting import render_table
 from repro.common.config import EngineConf, SchedulingMode
 from repro.dag.dataset import parallelize
-from repro.dag.plan import compile_plan, count_action, dict_action, reduce_action
+from repro.dag.plan import compile_plan, count_action, reduce_action
 from repro.engine.cluster import LocalCluster
 from repro.workloads.queries import QueryCorpusGenerator, WorkloadAnalyzer, TABLE2_DISTRIBUTION
 

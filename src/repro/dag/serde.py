@@ -13,9 +13,14 @@ Importable module-level functions still pickle by reference (cheap, and
 the child re-imports the module), so only the genuinely dynamic closures
 pay the by-value cost.
 
+Code travels only in stage payloads: everything else that crosses a
+wire — an rpc envelope, a task report, a reply, an acknowledgement — is
+data and goes through :func:`dumps_data`, plain stdlib pickle: the same
+bytes, without paying for the ``reducer_override`` hook on every object.
+
 When something in a payload cannot cross the boundary — a captured lock,
-an open file handle, a socket — :func:`dumps_closure` walks the payload
-to find the *named* offending capture and raises
+an open file handle, a socket — either function walks the payload to
+find the *named* offending capture and raises
 :class:`~repro.common.errors.SerializationError` naming it, instead of
 letting a bare ``PicklingError`` surface from the worker pool.
 """
@@ -33,7 +38,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.common.errors import SerializationError
 
-__all__ = ["dumps_closure", "loads_closure"]
+__all__ = ["dumps_closure", "dumps_data", "loads_closure"]
 
 # Sentinel standing in for an empty (never-assigned) closure cell.
 _EMPTY_CELL = "__repro_empty_cell__"
@@ -176,10 +181,10 @@ class _ClosurePickler(pickle.Pickler):
         return NotImplemented
 
 
-def _picklable(value: Any) -> bool:
+def _picklable(value: Any, pickler: type = _ClosurePickler) -> bool:
     try:
         buf = io.BytesIO()
-        _ClosurePickler(buf, protocol=pickle.HIGHEST_PROTOCOL).dump(value)
+        pickler(buf, protocol=pickle.HIGHEST_PROTOCOL).dump(value)
         return True
     except Exception:  # noqa: BLE001 - any failure means "not picklable"
         return False
@@ -192,9 +197,11 @@ def _describe(value: Any) -> str:
     return f"{text} (type {type(value).__name__})"
 
 
-def _find_offender(obj: Any, seen: set) -> Optional[str]:
+def _find_offender(
+    obj: Any, seen: set, pickler: type = _ClosurePickler
+) -> Optional[str]:
     """Walk an unpicklable object graph and name the first capture,
-    element, or attribute that cannot be serialized."""
+    element, or attribute that ``pickler`` cannot serialize."""
     if id(obj) in seen:
         return None
     seen.add(id(obj))
@@ -206,22 +213,22 @@ def _find_offender(obj: Any, seen: set) -> Optional[str]:
                 value = cell.cell_contents
             except ValueError:
                 continue
-            if not _picklable(value):
-                deeper = _find_offender(value, seen)
+            if not _picklable(value, pickler):
+                deeper = _find_offender(value, seen, pickler)
                 return deeper or (
                     f"captured variable {name!r} of function "
                     f"{obj.__qualname__!r} = {_describe(value)}"
                 )
         for name, value in _referenced_globals(obj).items():
-            if not _picklable(value):
-                deeper = _find_offender(value, seen)
+            if not _picklable(value, pickler):
+                deeper = _find_offender(value, seen, pickler)
                 return deeper or (
                     f"global {name!r} referenced by function "
                     f"{obj.__qualname__!r} = {_describe(value)}"
                 )
         for index, value in enumerate(obj.__defaults__ or ()):
-            if not _picklable(value):
-                deeper = _find_offender(value, seen)
+            if not _picklable(value, pickler):
+                deeper = _find_offender(value, seen, pickler)
                 return deeper or (
                     f"default argument #{index} of function "
                     f"{obj.__qualname__!r} = {_describe(value)}"
@@ -230,54 +237,76 @@ def _find_offender(obj: Any, seen: set) -> Optional[str]:
 
     if isinstance(obj, (list, tuple, set, frozenset)):
         for value in obj:
-            if not _picklable(value):
-                return _find_offender(value, seen) or f"element {_describe(value)}"
+            if not _picklable(value, pickler):
+                return (
+                    _find_offender(value, seen, pickler)
+                    or f"element {_describe(value)}"
+                )
         return None
 
     if isinstance(obj, dict):
         for key, value in obj.items():
-            if not _picklable(value):
+            if not _picklable(value, pickler):
                 return (
-                    _find_offender(value, seen)
+                    _find_offender(value, seen, pickler)
                     or f"value under key {key!r}: {_describe(value)}"
                 )
-            if not _picklable(key):
-                return _find_offender(key, seen) or f"key {_describe(key)}"
+            if not _picklable(key, pickler):
+                return _find_offender(key, seen, pickler) or f"key {_describe(key)}"
         return None
 
     if dataclasses.is_dataclass(obj) or hasattr(obj, "__dict__"):
         for attr, value in vars(obj).items():
-            if not _picklable(value):
-                deeper = _find_offender(value, seen)
+            if not _picklable(value, pickler):
+                deeper = _find_offender(value, seen, pickler)
                 return deeper or (
                     f"attribute {attr!r} of {type(obj).__name__} = {_describe(value)}"
                 )
     return None
 
 
+def _unpicklable(
+    obj: Any, context: str, err: Exception, pickler: type
+) -> SerializationError:
+    """The typed error for a payload ``pickler`` refused."""
+    if isinstance(err, RecursionError):
+        return SerializationError(
+            f"cannot serialize {context}: the closure graph is "
+            "self-referential (a local function captures itself)"
+        )
+    offender = _find_offender(obj, set(), pickler)
+    detail = offender or f"{_describe(obj)}: {err}"
+    return SerializationError(
+        f"cannot serialize {context}: {detail}. Captures must be "
+        "picklable values; create handles (locks, files, sockets) inside "
+        "the function body instead of capturing them."
+    )
+
+
 def dumps_closure(obj: Any, context: str = "task payload") -> bytes:
     """Serialize ``obj`` (closures included) to bytes for another process:
-    a process-executor child, or a peer across the tcp transport.
+    a stage payload for a process-executor child or a tcp peer.
 
     Raises :class:`SerializationError` naming ``context`` and the
     offending capture when something in the payload cannot be pickled."""
     buf = io.BytesIO()
     try:
         _ClosurePickler(buf, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
-    except RecursionError as err:
-        raise SerializationError(
-            f"cannot serialize {context}: the closure graph is "
-            "self-referential (a local function captures itself)"
-        ) from err
     except Exception as err:  # noqa: BLE001 - diagnose, then re-raise typed
-        offender = _find_offender(obj, set())
-        detail = offender or f"{_describe(obj)}: {err}"
-        raise SerializationError(
-            f"cannot serialize {context}: {detail}. Captures must be "
-            "picklable values; create handles (locks, files, sockets) inside "
-            "the function body instead of capturing them."
-        ) from err
+        raise _unpicklable(obj, context, err, _ClosurePickler) from err
     return buf.getvalue()
+
+
+def dumps_data(obj: Any, context: str = "message") -> bytes:
+    """Serialize plain data — no by-value functions — with stdlib pickle
+    (read it back with :func:`pickle.loads`).
+
+    Raises :class:`SerializationError` naming ``context`` and the
+    offending value when something in the payload cannot be pickled."""
+    try:
+        return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception as err:  # noqa: BLE001 - diagnose, then re-raise typed
+        raise _unpicklable(obj, context, err, pickle.Pickler) from err
 
 
 def loads_closure(data: bytes) -> Any:

@@ -58,6 +58,10 @@ class BaseTransport:
     registry, failure surface (:class:`WorkerLost`) and message
     accounting."""
 
+    # True when a call's arguments and reply cross as bytes, so the
+    # receiver holds copies built by the thread that decoded them.
+    serializes = False
+
     def __init__(
         self,
         metrics: MetricsRegistry | None = None,

@@ -16,13 +16,15 @@ protocol: a cluster is a driver and N workers that share nothing but one
 
 Wire format
 -----------
-A call serializes ``(Envelope, args, kwargs)`` with the closure-capable
-serializer from :mod:`repro.dag.serde` — the same
+A call serializes ``(Envelope, args, kwargs)`` with stdlib pickle
+(:func:`repro.dag.serde.dumps_data`) — the same
 :class:`~repro.engine.rpc.Envelope` the in-process transport routes,
 ``SpanContext`` included, so traces recorded via :mod:`repro.obs`
 propagate driver→wire→worker unchanged.  The response carries
 ``("ok", value)``, ``("err", exception)`` (re-raised caller-side), or
-``("lost", reason)`` (surfaced as :class:`WorkerLost`).
+``("lost", reason)`` (surfaced as :class:`WorkerLost`).  Envelopes,
+reports, replies and acknowledgements are data: code crosses the wire
+only inside ``launch_tasks`` stage blobs (:mod:`repro.net.stageblobs`).
 
 One-way messages
 ----------------
@@ -48,6 +50,7 @@ both backends.
 from __future__ import annotations
 
 import functools
+import pickle
 import queue
 import threading
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -74,7 +77,7 @@ from repro.common.metrics import (
     HIST_NET_MESSAGES_PER_FRAME,
     MetricsRegistry,
 )
-from repro.dag.serde import dumps_closure, loads_closure
+from repro.dag.serde import dumps_data
 from repro.engine.rpc import LAUNCH_TASKS, BaseTransport, Envelope
 from repro.net.framing import (
     HEADER_SIZE,
@@ -265,6 +268,8 @@ class _Outbox:
 
 class TcpTransport(BaseTransport):
     """Socket-backed transport; one per driver / worker process-equivalent."""
+
+    serializes = True
 
     def __init__(
         self,
@@ -482,9 +487,7 @@ class TcpTransport(BaseTransport):
                 copies = 2
             else:
                 self._clock.sleep(fault.param if fault.param > 0 else 0.02)
-        payload = dumps_closure(
-            (envelope, args, kwargs), context=f"rpc {method!r} payload"
-        )
+        payload = dumps_data((envelope, args, kwargs), context=f"rpc {method!r} payload")
         outbox = self._outboxes.get(dst_id)
         if outbox is None:
             with self._lock:
@@ -525,7 +528,7 @@ class TcpTransport(BaseTransport):
                 lambda at: self._wire_exchange(at, dst_id, frame, "a one-way frame"),
             )
             # An empty acknowledgement is the common case: every message taken.
-            lost = loads_closure(response) if response else [None] * len(batch)
+            lost = pickle.loads(response) if response else [None] * len(batch)
             if len(lost) != len(batch):
                 raise ValueError(f"{len(lost)} statuses for {len(batch)} messages")
         except WorkerLost as err:
@@ -721,14 +724,14 @@ class TcpTransport(BaseTransport):
         """Like :meth:`_internal_call` but also returns the framed request
         size actually written to the socket — the launch path uses it to
         attribute wire cost per exchange (``net.launch_bytes_sent``)."""
-        payload = dumps_closure(
+        payload = dumps_data(
             (envelope, args, kwargs or {}),
             context=f"rpc {envelope.method!r} payload",
         )
         dst = envelope.dst
         frame = self._frame(KIND_REQUEST, payload, dst, (envelope.method,))
         response = self._wire_exchange(addr, dst, frame, repr(envelope.method))
-        status, value = loads_closure(response)
+        status, value = pickle.loads(response)
         return status, value, len(frame)
 
     def _frame(self, kind: int, payload: bytes, dst: str, methods: Sequence[str]) -> bytes:
@@ -774,13 +777,13 @@ class TcpTransport(BaseTransport):
     def _handle_raw(self, payload: bytes) -> bytes:
         method = "<undecoded>"
         try:
-            envelope, args, kwargs = loads_closure(payload)
+            envelope, args, kwargs = pickle.loads(payload)
             method = envelope.method
             result = self._dispatch(envelope, args, kwargs)
         except BaseException as err:  # noqa: BLE001 - malformed payloads
             result = (_ERR, SerializationError(f"bad request payload: {err!r}"))
         try:
-            return dumps_closure(result, context="rpc response payload")
+            return dumps_data(result, context="rpc response payload")
         except BaseException as err:  # noqa: BLE001 - unpicklable values
             fallback: Tuple[str, Any] = (
                 _ERR,
@@ -788,7 +791,7 @@ class TcpTransport(BaseTransport):
                     f"rpc response for {method!r} cannot cross the wire: {err}"
                 ),
             )
-            return dumps_closure(fallback, context="rpc response payload")
+            return dumps_data(fallback, context="rpc response payload")
 
     def _handle_posts(self, messages: List[bytes]) -> bytes:
         """Dispatch the one-way messages of one frame in order; the reply
@@ -798,14 +801,14 @@ class TcpTransport(BaseTransport):
         acks: List[Optional[str]] = []
         for payload in messages:
             try:
-                envelope, args, kwargs = loads_closure(payload)
+                envelope, args, kwargs = pickle.loads(payload)
                 status, value = self._dispatch(envelope, args, kwargs)
             except Exception:  # noqa: BLE001 - malformed: nothing to retry
                 status, value = _ERR, None
             acks.append(str(value) if status == _LOST else None)
         if not any(acks):
             return b""  # every message taken: nothing to spell out
-        return dumps_closure(acks, context="one-way acknowledgement")
+        return dumps_data(acks, context="one-way acknowledgement")
 
     def _dispatch(self, envelope: Envelope, args: Tuple, kwargs: Dict) -> Tuple[str, Any]:
         method = envelope.method

@@ -1,7 +1,5 @@
 """Tests for the `python -m repro.bench` report generator CLI."""
 
-import pathlib
-
 import pytest
 
 from repro.bench.__main__ import EXPERIMENTS, main

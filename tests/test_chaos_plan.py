@@ -14,7 +14,6 @@ from repro.chaos.plan import (
     SITE_DRIVER,
     SITE_ELASTIC_RESIZE,
     SITE_EXEC_COMPUTE,
-    SITE_NET_CALL,
     SITE_STREAM_CHECKPOINT,
     SITE_STREAM_GROUP,
     SITE_WORKER_TASK,

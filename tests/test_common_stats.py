@@ -1,7 +1,5 @@
 """Unit + property tests for repro.common.stats."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 

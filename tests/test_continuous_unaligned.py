@@ -10,8 +10,6 @@ state's future and replayed.
 
 import time
 
-import pytest
-
 from repro.continuous.engine import ContinuousJob, SourceSpec
 from repro.continuous.operators import MapOperator, OperatorSpec, WindowAggOperator
 from repro.streaming.sinks import IdempotentSink

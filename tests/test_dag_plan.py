@@ -5,7 +5,6 @@ import pytest
 from repro.common.errors import PlanError
 from repro.dag.dataset import (
     Dataset,
-    SourceDataset,
     from_partitions,
     parallelize,
 )

@@ -15,7 +15,7 @@ import pytest
 from repro.common.config import EngineConf, MonitorConf, SchedulingMode, TransportConf
 from repro.common.errors import WorkerLost
 from repro.common.metrics import COUNT_RECOVERIES, COUNT_TASKS_LAUNCHED
-from repro.dag.dataset import SourceDataset, parallelize
+from repro.dag.dataset import SourceDataset
 from repro.dag.plan import collect_action, compile_plan, dict_action
 from repro.engine.cluster import LocalCluster
 

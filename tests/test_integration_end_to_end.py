@@ -7,9 +7,6 @@ straggler, and elasticity — all against exact reference answers.
 """
 
 import threading
-import time
-
-import pytest
 
 from repro.common.config import EngineConf, SchedulingMode, SpeculationConf, TunerConf
 from repro.engine.cluster import LocalCluster

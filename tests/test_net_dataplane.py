@@ -615,3 +615,133 @@ class TestTcpClusterStageCache:
             error = reports[0].error
             assert isinstance(error, FetchFailed)
             assert (error.shuffle_id, error.map_index) == (sid, 0)  # the stale one
+
+
+# ----------------------------------------------------------------------
+# Shared fetches: co-ready reducers, one round trip per worker pair
+# ----------------------------------------------------------------------
+def _keyed_group(batches=5, reducers=4):
+    return [
+        compile_plan(
+            parallelize([(f"k{(b * 7 + i) % 11}", i) for i in range(40)], 4)
+            .reduce_by_key(lambda a, b: a + b, reducers),
+            collect_action(),
+        )
+        for b in range(batches)
+    ]
+
+
+class TestSharedFetch:
+    """The reduce tasks one notification makes ready on a worker share
+    one ``fetch_buckets`` per peer; failures stay per task."""
+
+    @staticmethod
+    def _run(mode, transport):
+        with make_cluster(
+            mode, workers=2, slots=2, transport=transport, group_size=5
+        ) as cluster:
+            results = cluster.run_group(_keyed_group())
+            metrics = cluster.metrics
+            return (
+                results,
+                metrics.counter(COUNT_NET_FETCH_BATCHES).value,
+                metrics.counter(COUNT_RPC_MESSAGES).value,
+            )
+
+    def test_one_fetch_per_worker_pair_per_batch(self):
+        reference, per_task_fetches, _ = self._run(SchedulingMode.PER_BATCH, "inproc")
+        # The Spark baseline keeps one fetch per task: 4 reducers, each
+        # with one remote peer, in each of 5 batches.
+        assert per_task_fetches == 4 * 5
+        rpc_counts = set()
+        for transport in ["inproc"] * 5 + ["tcp"] * 5:
+            results, fetches, rpcs = self._run(SchedulingMode.DRIZZLE, transport)
+            # 2 workers -> 2 ordered worker pairs -> 2 fetches per batch.
+            assert fetches == 2 * 5, transport
+            assert results == reference, transport
+            rpc_counts.add(rpcs)
+        assert len(rpc_counts) == 1, rpc_counts
+
+    def test_holder_lost_before_shared_fetch_fails_each_member(self):
+        """The holder dies after its notifications and before the group's
+        one fetch: every co-ready reducer reports its own FetchFailed,
+        naming its own first map output on the holder, and the job
+        recovers to the same output."""
+        reference = self._run(SchedulingMode.PER_BATCH, "inproc")[0][0]
+        (plan,) = _keyed_group(batches=1)
+        with make_cluster(
+            SchedulingMode.DRIZZLE, workers=2, slots=2, transport="inproc"
+        ) as cluster:
+            reader = cluster.workers["worker-0"]
+            holder = "worker-1"
+            expected = {}
+            real_pull = reader._pull
+
+            def pull(job_id, plans):
+                if len(plans) > 1 and not expected:
+                    for fetch_plan in plans:
+                        expected[fetch_plan.partition] = fetch_plan.by_peer[holder][0]
+                    cluster.kill_worker(holder)
+                return real_pull(job_id, plans)
+
+            reader._pull = pull
+            reports = []
+            real_finished = cluster.driver.task_finished
+
+            def finished(report):
+                reports.append(report)
+                return real_finished(report)
+
+            cluster.driver.task_finished = finished
+            assert cluster.run_plan(plan) == reference
+        assert len(expected) == 2
+        failed = {
+            r.task_id.partition: r.error
+            for r in reports
+            if r.worker_id == "worker-0" and not r.succeeded
+        }
+        assert set(failed) == set(expected)
+        for partition, err in failed.items():
+            assert isinstance(err, FetchFailed)
+            assert (err.shuffle_id, err.map_index) == expected[partition]
+            assert err.worker_id == holder
+
+    @pytest.mark.parametrize("packed", [False, True], ids=["objects", "packed"])
+    def test_missing_entry_fails_only_its_member(self, packed, monkeypatch):
+        """One coalesced reply, one ``missing`` entry: the member it
+        belongs to fails naming that map output, its sibling succeeds —
+        also when the reply comes packed per member, as over a wire."""
+        transport, driver, workers, plan, sid = _shuffle_fixture(2, maps=2, reducers=2)
+        monkeypatch.setattr(transport, "serializes", packed)
+        w0, w1 = workers
+        try:
+            w1.blocks.put_map_output(0, sid, 0, {0: [("a", 1)], 1: [("b", 1)]})
+            w1.blocks.put_map_output(0, sid, 1, {0: [("a", 2)], 1: [("b", 2)]})
+            deps = frozenset((sid, m) for m in range(2))
+            ok, stale = (
+                TaskDescriptor(
+                    task_id=TaskId(0, 1, p),
+                    plan=plan,
+                    pre_scheduled=True,
+                    deps=deps,
+                    # Reducer 1 requires a newer attempt of map 1 than w1
+                    # holds: its entry in the shared reply is missing.
+                    map_epochs={(sid, 1): 5} if p else {},
+                )
+                for p in range(2)
+            )
+            w0.launch_tasks([ok, stale])
+            w0.notify_output(0, sid, 0, "w1")
+            w0.notify_output(0, sid, 1, "w1")  # wakes both: one group
+            assert wait_for(lambda: len(driver.reports) == 2)
+            by_partition = {r.task_id.partition: r for r in driver.reports}
+            assert by_partition[0].succeeded
+            assert by_partition[0].result == [("a", 3)]
+            err = by_partition[1].error
+            assert isinstance(err, FetchFailed)
+            assert (err.shuffle_id, err.map_index, err.worker_id) == (sid, 1, "w1")
+            assert w0.metrics.counter(COUNT_NET_FETCH_BATCHES).value == 1
+            assert w0.metrics.histogram(HIST_NET_BUCKETS_PER_FETCH).snapshot() == [4.0]
+        finally:
+            for w in workers:
+                w.shutdown()

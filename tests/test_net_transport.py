@@ -664,3 +664,22 @@ class TestErrorWireSafety:
         assert isinstance(err, TaskError)
         assert err.task_id == "t-9"
         assert isinstance(err.cause, ZeroDivisionError)
+
+
+class TestReportSerde:
+    def test_unpicklable_result_reaches_driver_as_serialization_error(self):
+        """Reports are data (stdlib pickle); a result holding a lock still
+        fails the job with a SerializationError that names the lock."""
+        from engine_test_utils import make_cluster
+
+        from repro.common.config import SchedulingMode
+        from repro.common.errors import SerializationError
+        from repro.dag.dataset import parallelize
+
+        with make_cluster(
+            SchedulingMode.DRIZZLE, workers=2, slots=2, transport="tcp"
+        ) as cluster:
+            dataset = parallelize(range(4), 2).map(lambda x: (x, threading.Lock()))
+            with pytest.raises(SerializationError) as exc:
+                cluster.collect(dataset)
+        assert "lock" in str(exc.value)

@@ -8,7 +8,6 @@ import json
 import pytest
 
 from repro.common.config import SchedulingMode, TracingConf
-from repro.common.metrics import TIME_COMPUTE, TIME_SCHEDULING, TIME_TASK_TRANSFER
 from repro.obs.__main__ import main as obs_main
 from repro.obs.analyze import phase_totals
 from repro.obs.export import load_trace, to_trace_events, write_jsonl, write_perfetto

@@ -3,6 +3,7 @@ surface: the canonical names resolve to the deep objects, and spellings
 that earlier releases deprecated or removed are gone for good.
 """
 
+import ast
 import pathlib
 import re
 from dataclasses import fields, is_dataclass
@@ -184,3 +185,24 @@ def test_engine_conf_settable_value_count():
         )
 
     assert leaves(EngineConf()) == 47
+
+
+def test_only_stage_payloads_use_the_closure_pickler():
+    """Code travels only in stage blobs: inside ``src/repro`` the closure
+    pickler is imported by the stage-blob cache and the process executor
+    and nowhere else.  Envelopes, reports, replies and acknowledgements
+    are data and go through stdlib pickle."""
+    closure_names = {"dumps_closure", "loads_closure"}
+    package = REPO_ROOT / "src" / "repro"
+    exempt = {"dag/serde.py", "dag/__init__.py"}  # definition and re-export
+    importers = set()
+    for path in package.rglob("*.py"):
+        rel = path.relative_to(package).as_posix()
+        if rel in exempt:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and closure_names & {
+                alias.name for alias in node.names
+            }:
+                importers.add(rel)
+    assert importers == {"net/stageblobs.py", "engine/executors.py"}

@@ -1,8 +1,6 @@
 """Unit tests for the DStream graph layer (no engine execution: the
 per-batch datasets are evaluated with the planner's reference executor)."""
 
-import pytest
-
 from repro.dag.plan import collect_action, compile_plan
 from repro.streaming.dstream import SourceDStream
 from repro.streaming.sources import FixedBatchSource

@@ -19,7 +19,6 @@ from repro.workloads.video import (
     SessionSummary,
     VideoWorkload,
     attach_session_query,
-    parse_heartbeat,
 )
 
 

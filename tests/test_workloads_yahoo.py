@@ -11,7 +11,7 @@ from repro.common.config import EngineConf, SchedulingMode
 from repro.engine.cluster import LocalCluster
 from repro.streaming.context import StreamingContext
 from repro.streaming.sinks import IdempotentSink
-from repro.streaming.sources import FixedBatchSource, LogSource, RecordLog
+from repro.streaming.sources import FixedBatchSource, RecordLog
 from repro.workloads.yahoo import (
     YahooWorkload,
     attach_microbatch_query,
