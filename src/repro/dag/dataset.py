@@ -217,12 +217,10 @@ class Dataset:
 
 class SourceDataset(Dataset):
     """A leaf: ``partition_fn(partition_index)`` yields that partition's
-    records.  The driver evaluates it when the job is submitted and each
-    source task's descriptor carries its partition's records, so a stage
-    blob holds code only.  §4 moves source-offset computation onto the
-    workers because there the records sit in an external log any worker
-    can read; here every log lives in the driver's process, so the driver
-    is the one place that can read it."""
+    records.  The worker running a source task evaluates it, through the
+    driver's process-local source registry the job registers it in; the
+    task's descriptor carries only a read spec, so neither a stage blob
+    nor a launch holds records."""
 
     def __init__(
         self,
@@ -237,8 +235,8 @@ class SourceDataset(Dataset):
 
 def stream_input(partition: int) -> Iterable[Any]:
     """The source function of a streaming plan compiled once for a whole
-    group: it stands for each batch's input, which the driver resolves
-    per job and ships in the source tasks' descriptors."""
+    group: it stands for each batch's input, which each job names (its
+    stream source and batch range) and the workers read."""
     raise PlanError(
         f"stream input for partition {partition} was not resolved: a "
         "streaming plan needs each job's source"

@@ -97,12 +97,12 @@ class StageSpec:
 
     @property
     def is_source(self) -> bool:
-        """Reads a source, not a shuffle: its input comes from the driver."""
+        """Reads a source, not a shuffle: its worker resolves a read spec."""
         return not self.input_shuffles
 
     def code_only(self) -> "StageSpec":
         """This stage without its source function: what a worker receives.
-        A source task's records travel in its descriptor instead."""
+        A source task's descriptor carries a read spec instead."""
         if self.source_fn is None:
             return self
         return dataclasses.replace(self, source_fn=None)

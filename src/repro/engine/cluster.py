@@ -188,6 +188,7 @@ class LocalCluster:
                 self.metrics,
                 self.clock,
                 tracer=self.tracer,
+                sources=self.driver.sources,
             )
             self.workers[worker_id] = worker
         worker.start()

@@ -18,18 +18,19 @@ lost tasks, parallel recovery across in-flight micro-batches, reuse of
 surviving intermediate (map) outputs, and pre-population of completed
 dependencies when a pre-scheduled task is moved to a new machine.
 
-Input reaches a task one way: the driver resolves every source stage's
-records when a job is submitted, outside its lock, and each source task's
-descriptor carries its partition.  A job keeps its inputs until it is
-dropped, so a re-run or a speculative copy gets the same records.  Plans
-are code only, which lets every batch of a stream share one plan.
+The driver reads no records.  It registers what each source stage of a
+job reads in its :class:`SourceRegistry` until the job's one release
+point, :meth:`Driver.drop_jobs`, and each source task's descriptor
+carries a :class:`ReadSpec` that its worker resolves — the same spec for
+every attempt, so a re-run or a speculative copy reads the same range.
+Plans are code only, which lets every batch of a stream share one plan.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.common.clock import Clock, WallClock
 from repro.common.config import EngineConf, SchedulingMode
@@ -59,7 +60,16 @@ from repro.core.tuner import GroupSizeTuner
 from repro.dag.dataset import stream_input
 from repro.dag.plan import PhysicalPlan, ShuffleSpec, StageSpec
 from repro.engine.rpc import BaseTransport
-from repro.engine.task import TaskDescriptor, TaskId, TaskReport
+from repro.engine.task import (
+    JobSource,
+    ReadSpec,
+    SourceRead,
+    SourceRegistry,
+    TaskDescriptor,
+    TaskId,
+    TaskReport,
+    source_reads,
+)
 from repro.obs.names import (
     EVENT_TASK_RESUBMIT,
     EVENT_TUNER_DECISION,
@@ -74,12 +84,6 @@ from repro.obs.trace import NULL_RECORDER, Recorder, SpanContext
 
 DRIVER_ID = "driver"
 
-# A source stage's records, one list per partition, by stage index.
-JobInputs = Dict[int, List[List[Any]]]
-# What feeds a streaming plan's placeholder source stages for one job:
-# the batch's partition function (None for a plan with no placeholder).
-JobSource = Optional[Callable[[int], Iterable[Any]]]
-
 
 @dataclass
 class JobState:
@@ -89,9 +93,9 @@ class JobState:
     job_key: Any
     plan: PhysicalPlan
     pre_scheduled: bool
-    # Every source stage's records, resolved at submission; every attempt
-    # of a source task gets its partition from here.
-    inputs: JobInputs = field(default_factory=dict)
+    # The stream batch the placeholder source stages read (None for a job
+    # without one); every attempt of a source task's spec names it.
+    batch_range: Any = None
     stage_remaining: Dict[int, Set[int]] = field(default_factory=dict)
     map_status: Dict[DepKey, str] = field(default_factory=dict)
     # Epoch (producing task attempt) each completed map output was written
@@ -175,6 +179,9 @@ class Driver:
         # journaling, no fencing stamp, byte-identical non-HA behaviour.
         self.journal = None
         self.session_epoch = 0
+        # What each live job's source tasks read; workers resolve their
+        # read specs through it (LocalCluster hands it to each worker).
+        self.sources = SourceRegistry()
         transport.register(DRIVER_ID, self)
 
     # ------------------------------------------------------------------
@@ -392,8 +399,8 @@ class Driver:
         """Execute one job synchronously and return the action's result.
         A job without a ``job_key`` is released once this returns."""
         if self.conf.scheduling_mode is SchedulingMode.PER_BATCH:
-            (inputs,) = self._resolve_group_inputs([plan], [None])
-            return self._run_barrier(plan, job_key, reuse, inputs)
+            (reads,) = source_reads([plan], [None])
+            return self._run_barrier(plan, job_key, reuse, reads, None)
         job_ids = self.submit_group([plan], job_keys=[job_key], reuse=reuse)
         try:
             return self.wait_job(job_ids[0])
@@ -412,8 +419,8 @@ class Driver:
         Under DRIZZLE this is one group-scheduling round; under barrier
         modes the jobs run sequentially (the Spark-streaming behaviour).
         Records the group's observation as ``last_group`` for the tuner.
-        ``sources[i]`` feeds job ``i``'s placeholder source stages (see
-        :meth:`_resolve_group_inputs`); several jobs may share one plan.
+        ``sources[i]``, a stream source and the batch range job ``i``
+        reads, feeds its placeholder source stages; jobs may share a plan.
         Jobs without a key are released once their results are returned;
         keyed jobs stay until their owner drops them (a checkpoint).
         """
@@ -433,10 +440,12 @@ class Driver:
         with group_span:
             try:
                 if self.conf.scheduling_mode is SchedulingMode.PER_BATCH:
-                    inputs = self._resolve_group_inputs(plans, job_sources)
+                    reads = source_reads(plans, job_sources)
                     results = [
-                        self._run_barrier(plan, key, reuse, job_inputs)
-                        for plan, key, job_inputs in zip(plans, keys, inputs)
+                        self._run_barrier(plan, key, reuse, job_reads, source)
+                        for plan, key, job_reads, source in zip(
+                            plans, keys, reads, job_sources
+                        )
                     ]
                 else:
                     job_ids = self.submit_group(
@@ -538,15 +547,16 @@ class Driver:
         self.drop_jobs([job_id])
 
     def drop_jobs(self, job_ids: Sequence[int], wait: bool = True) -> None:
-        """Garbage-collect several jobs in one round per worker: every
-        drop is posted (best effort — a lost worker's blocks are gone
-        anyway), then, with ``wait``, each worker is waited for once, so
-        the blocks are gone when this returns."""
+        """Garbage-collect several jobs: their source entries at once, and
+        in one round per worker every drop is posted (best effort — a lost
+        worker's blocks are gone anyway), then, with ``wait``, each worker
+        is waited for once, so the blocks are gone when this returns."""
         with self._lock:
             for job_id in job_ids:
                 job = self.jobs.pop(job_id, None)
                 if job is not None:
                     self._job_ids_by_key.pop(job.job_key, None)
+            self.sources.release(job_ids)
             workers = list(self._alive)
         epoch = self._epoch_kwargs()
         for worker_id in workers:
@@ -559,42 +569,14 @@ class Driver:
     # ------------------------------------------------------------------
     # Job registration (shared)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _resolve_group_inputs(
-        plans: Sequence[PhysicalPlan], sources: Sequence[JobSource]
-    ) -> List[JobInputs]:
-        """Read every source stage's records, one list per partition, for
-        each job of a group.  A stage whose ``source_fn`` is the
-        :func:`stream_input` placeholder reads the job's ``source`` (its
-        batch); any other reads its own ``source_fn``.  Each source is read
-        once per group: jobs over the same one (a context's output
-        operations over one batch) share its lists, which tasks only
-        iterate.  Runs on the submitting thread, outside the lock."""
-        read_once: Dict[Tuple[Callable, int], List[List[Any]]] = {}
-        resolved: List[JobInputs] = []
-        for plan, source in zip(plans, sources):
-            inputs: JobInputs = {}
-            for stage in plan.stages:
-                if not stage.is_source:
-                    continue
-                read = stage.source_fn
-                if read is stream_input and source is not None:
-                    read = source
-                assert read is not None
-                key = (read, stage.num_tasks)
-                if key not in read_once:
-                    read_once[key] = [list(read(p)) for p in range(stage.num_tasks)]
-                inputs[stage.stage_index] = read_once[key]
-            resolved.append(inputs)
-        return resolved
-
     def _register_job(
         self,
         plan: PhysicalPlan,
         job_key: Any,
         pre_scheduled: bool,
         reuse: bool,
-        inputs: Optional[JobInputs] = None,
+        reads: Optional[Dict[int, SourceRead]] = None,
+        source: JobSource = None,
     ) -> JobState:
         with self._lock:
             prior: Optional[JobState] = None
@@ -616,7 +598,7 @@ class Driver:
                 job_key=job_key,
                 plan=plan,
                 pre_scheduled=pre_scheduled,
-                inputs=inputs or {},
+                batch_range=None if source is None else source[1],
             )
             for stage in plan.stages:
                 job.stage_remaining[stage.stage_index] = set(range(stage.num_tasks))
@@ -627,6 +609,7 @@ class Driver:
             if prior is not None and reuse:
                 self._carry_over_outputs(job, prior)
             self.jobs[job_id] = job
+            self.sources.register(job_id, reads or {})
             if job_key is not None:
                 self._job_ids_by_key[job_key] = job_id
             if self.tracer.enabled:
@@ -729,7 +712,7 @@ class Driver:
             return []
         keys = list(job_keys) if job_keys is not None else [None] * len(plans)
         job_sources = list(sources) if sources is not None else [None] * len(plans)
-        inputs = self._resolve_group_inputs(plans, job_sources)
+        reads = source_reads(plans, job_sources)
         sched_start = self.clock.now()
         per_worker: Dict[str, List[TaskDescriptor]] = {}
         prepopulate: Dict[int, List[Tuple[DepKey, str, int]]] = {}
@@ -745,9 +728,10 @@ class Driver:
             # (§3.1); a context with several output operators contributes
             # one extra assignment per distinct shape.
             assignments: Dict[Tuple, Any] = {}
-            for plan, key, job_inputs in zip(plans, keys, inputs):
+            for plan, key, job_reads, source in zip(plans, keys, reads, job_sources):
                 job = self._register_job(
-                    plan, key, pre_scheduled=True, reuse=reuse, inputs=job_inputs
+                    plan, key, pre_scheduled=True, reuse=reuse, reads=job_reads,
+                    source=source,
                 )
                 jobs.append(job)
                 shape = tuple(
@@ -886,14 +870,18 @@ class Driver:
             deps=stage.task_dependencies(partition),
             downstream=downstream,
             trace_ctx=self._stage_ctx(job, stage.stage_index),
-            input=self._task_input(job, stage.stage_index, partition),
+            read=self._read_spec(job, stage, partition),
         )
 
     @staticmethod
-    def _task_input(job: JobState, stage_index: int, partition: int) -> Optional[List[Any]]:
-        """The records a source task reads (None for a shuffle reader)."""
-        stage_inputs = job.inputs.get(stage_index)
-        return None if stage_inputs is None else stage_inputs[partition]
+    def _read_spec(
+        job: JobState, stage: StageSpec, partition: int
+    ) -> Optional[ReadSpec]:
+        """What a source task reads (None for a shuffle reader)."""
+        if not stage.is_source:
+            return None
+        batch_range = job.batch_range if stage.source_fn is stream_input else None
+        return ReadSpec(job.job_id, stage.stage_index, batch_range, partition)
 
     @staticmethod
     def _stage_ctx(job: JobState, stage_index: int) -> Optional[SpanContext]:
@@ -905,11 +893,14 @@ class Driver:
     # Barrier (Spark) path
     # ------------------------------------------------------------------
     def _run_barrier(
-        self, plan: PhysicalPlan, job_key: Any, reuse: bool, inputs: JobInputs
+        self,
+        plan: PhysicalPlan,
+        job_key: Any,
+        reuse: bool,
+        reads: Dict[int, SourceRead],
+        source: JobSource,
     ) -> Any:
-        job = self._register_job(
-            plan, job_key, pre_scheduled=False, reuse=reuse, inputs=inputs
-        )
+        job = self._register_job(plan, job_key, False, reuse, reads, source)
         self.metrics.counter(COUNT_BATCHES_EXECUTED).add(1)
         try:
             for stage in plan.stages:
@@ -951,7 +942,7 @@ class Driver:
             map_locations={d: job.map_status[d] for d in deps},
             map_epochs={d: job.map_epochs.get(d, 0) for d in deps},
             trace_ctx=self._stage_ctx(job, stage_index),
-            input=self._task_input(job, stage_index, partition),
+            read=self._read_spec(job, stage, partition),
         )
         job.task_locations[(stage_index, partition)] = worker_id
         job.task_started[(stage_index, partition)] = self.clock.now()

@@ -76,7 +76,8 @@ class ComputeRequest:
     # ``fetched[input_shuffle_index] = [bucket, ...]``; None for source
     # stages (inputs were pulled by the worker — transport stays parent-side).
     fetched: Optional[List[List[List]]]
-    # Source stages: the partition's records from the task descriptor.
+    # Source stages: the partition's records, read by the worker from the
+    # task's read spec in its own process before the request is built.
     input: Optional[List[Any]] = None
     compute_delay_s: float = 0.0
     # Active span context at submission; carried across the boundary and
@@ -106,16 +107,17 @@ def run_stage_compute(
     """The backend-independent compute core of one task: evaluate the
     stage's closures over one partition.  Runs in the worker's process
     for inline/thread backends and inside a pool child for process.  A
-    source stage reads ``input`` (the driver resolved it; the stage's
-    ``source_fn`` is never called here), any other stage ``fetched``."""
+    source stage reads ``input`` (the worker resolved its read spec; the
+    stage's ``source_fn`` is never called here), any other stage
+    ``fetched``."""
     if stage.is_source:
         if input is None:
             raise PlanError(
                 f"source task for partition {partition} of stage "
-                f"{stage.stage_index} was launched without its input"
+                f"{stage.stage_index} was launched without a read spec"
             )
-        # An iterator, never the list itself: the driver keeps that list
-        # for re-runs and speculative copies of this task.
+        # An iterator, never the list itself: the output operations over
+        # one batch may share that list.
         records = iter(input)
     else:
         assert stage.input_merge is not None

@@ -11,6 +11,9 @@ Each worker owns:
 
 ``drop_job`` is the one release point for all of a job's state here.
 
+A source task reads its own input: its read spec is resolved through the
+driver's source registry here, before the executor backend gets the task.
+
 Data flows worker-to-worker: map tasks write to their local block store
 and push a metadata notification to each downstream worker; the activated
 reduce tasks pull the actual buckets (push-metadata, pull-data), those one
@@ -57,7 +60,7 @@ from repro.dag.serde import dumps_data
 from repro.engine.blocks import BUCKET_OK, BlockStore
 from repro.engine.executors import ComputeRequest, create_backend
 from repro.engine.rpc import BaseTransport
-from repro.engine.task import TaskDescriptor, TaskId, TaskReport
+from repro.engine.task import SourceRegistry, TaskDescriptor, TaskId, TaskReport
 from repro.obs.live import DeltaSnapshotter
 from repro.obs.names import (
     SPAN_TASK_COMPUTE,
@@ -119,6 +122,7 @@ class Worker:
         clock: Optional[Clock] = None,
         enable_heartbeats: Optional[bool] = None,
         tracer: Optional[Recorder] = None,
+        sources: Optional[SourceRegistry] = None,
     ):
         self.worker_id = worker_id
         self.transport = transport
@@ -127,6 +131,8 @@ class Worker:
         self.clock = clock or WallClock()
         self.tracer = tracer if tracer is not None else NULL_RECORDER
         self.blocks = BlockStore(worker_id)
+        # Where source tasks' read specs resolve: the driver's registry.
+        self.sources = sources if sources is not None else SourceRegistry()
         self.enable_heartbeats = (
             conf.monitor.enable_heartbeats
             if enable_heartbeats is None
@@ -620,18 +626,20 @@ class Worker:
         self, desc: TaskDescriptor, share: Optional[_SharedFetch] = None
     ) -> TaskReport:
         """Run one task attempt, split into the backend-facing protocol:
-        transport-side input fetch (parent process; a source task's input
-        came in its descriptor), the pure compute core (delegated to the
+        input resolution in this process (a shuffle fetch, or a source
+        task's read spec), the pure compute core (delegated to the
         executor backend), then transport-side output publication and
         reporting."""
         stage = desc.stage
         job_id = desc.task_id.job_id
         partition = desc.task_id.partition
 
-        fetched = None
+        fetched = records = None
         if share is not None:
             fetched = self._shared_inputs(desc, share)
-        elif not stage.is_source:
+        elif desc.read is not None:
+            records = self.sources.read(desc.read)
+        else:
             fetched = self._fetch_inputs(desc)
 
         request = ComputeRequest(
@@ -639,7 +647,7 @@ class Worker:
             stage=stage,
             partition=partition,
             fetched=fetched,
-            input=desc.input,
+            input=records,
             compute_delay_s=self.compute_delay_per_task_s,
             trace_ctx=self.tracer.current() if self.tracer.enabled else None,
         )

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import socket
 import struct
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Tuple, Union
 
 from repro.common.errors import ReproError
 
@@ -169,9 +169,11 @@ class FramedSocket:
             self._end += got
             have += got
 
-    def _read_large(self, length: int) -> bytes:
+    def _read_large(self, length: int) -> bytearray:
         """A payload that does not fit the buffer: take what is already
-        buffered after the header, read the rest directly."""
+        buffered after the header, read the rest directly into the
+        payload, and hand that buffer over as it is — a copy to ``bytes``
+        would hold the payload twice."""
         payload = bytearray(length)
         have = min(self._end - self._start - HEADER_SIZE, length)
         begin = self._start + HEADER_SIZE
@@ -185,10 +187,12 @@ class FramedSocket:
                     f"peer closed connection ({have}/{length} bytes read)"
                 )
             have += got
-        return bytes(payload)
+        return payload
 
-    def read_frame(self) -> Tuple[int, bytes]:
-        """Read one complete frame; returns ``(kind, payload)``.
+    def read_frame(self) -> Tuple[int, Union[bytes, bytearray]]:
+        """Read one complete frame; returns ``(kind, payload)``.  A payload
+        larger than the read buffer comes back as the ``bytearray`` it was
+        received into; every consumer takes either.
 
         Raises :class:`ConnectionClosed` on EOF and :class:`FrameError`
         on a header that is not ours (wrong magic, unknown version or
@@ -214,7 +218,7 @@ class FramedSocket:
         return kind, payload
 
 
-def read_frame(sock) -> Tuple[int, bytes]:
+def read_frame(sock) -> Tuple[int, Union[bytes, bytearray]]:
     """Read one frame from a :class:`FramedSocket`, or from a bare socket
     without consuming a byte past the frame; returns ``(kind, payload)``."""
     if not isinstance(sock, FramedSocket):

@@ -10,10 +10,11 @@ per-launch deltas; this module applies that idea to the wire:
   names it by a content digest, and ships the blob to each peer at most
   once — later launches to that peer carry only the digest token;
 * a blob is code only: it is serialized without any stage's source
-  function, and a source task's records ride in its descriptor.  A
-  streaming context compiles one plan per output operation per group over
-  a placeholder source, so the blob is byte-identical in every group and
-  each worker loads it once for the life of the stream;
+  function, and a source task's descriptor carries a small read spec
+  the worker resolves itself, never records.  A streaming context
+  compiles one plan per output operation per group over a placeholder
+  source, so the blob is byte-identical in every group and each worker
+  loads it once for the life of the stream;
 * the receiver caches ``digest -> deserialized plan`` and rebuilds full
   :class:`~repro.engine.task.TaskDescriptor` objects locally;
 * a receiver that lost its cache (restart, eviction) answers
@@ -58,7 +59,7 @@ def blob_digest(blob: bytes) -> str:
 class WireTaskDescriptor:
     """A :class:`TaskDescriptor` with the plan replaced by its digest —
     the per-task fields that actually differ between launches, a source
-    task's records included."""
+    task's read spec included."""
 
     task_id: Any
     plan_digest: str
@@ -68,7 +69,7 @@ class WireTaskDescriptor:
     map_locations: Dict = field(default_factory=dict)
     map_epochs: Dict = field(default_factory=dict)
     trace_ctx: Any = None
-    input: Optional[List[Any]] = None
+    read: Any = None
 
 
 @dataclass
@@ -143,7 +144,7 @@ class StageBlobSender:
                         map_locations=desc.map_locations,
                         map_epochs=desc.map_epochs,
                         trace_ctx=desc.trace_ctx,
-                        input=desc.input,
+                        read=desc.read,
                     )
                 )
                 if digest in digests:
@@ -216,7 +217,7 @@ class StageBlobReceiver:
                     map_locations=w.map_locations,
                     map_epochs=w.map_epochs,
                     trace_ctx=w.trace_ctx,
-                    input=w.input,
+                    read=w.read,
                 )
                 for w in launch.descriptors
             ]

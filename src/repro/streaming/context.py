@@ -5,9 +5,10 @@ and scheduling one job per micro-batch, the generator submits *a group of
 micro-batches at once*, sized by the driver's current group size (which
 the §3.4 AIMD tuner may be adjusting live).  The DAG is static, so each
 output operation's plan is compiled once per group, over a placeholder
-source, and shared by the group's jobs; each job brings its batch's input
-separately.  Output callbacks — sink commits and state updates — always
-run in batch order.
+source, and shared by the group's jobs; each job names its batch — the
+source and the range :meth:`StreamSource.plan_batch` pinned — and the
+workers read it.  Output callbacks — sink commits and state updates —
+always run in batch order.
 
 Checkpoints are synchronous, taken at group boundaries (§3.3);
 ``restore_and_replay`` rolls state and source back to the last checkpoint
@@ -20,7 +21,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.chaos.injector import chaos_hit
 from repro.chaos.plan import (
@@ -205,10 +206,12 @@ class StreamingContext:
         ]
         plans: List[PhysicalPlan] = []
         keys: List[Any] = []
-        sources: List[Callable[[int], Iterable[Any]]] = []
+        sources: List[Tuple[StreamSource, Any]] = []
         for batch_index in batch_indices:
-            # Planning the batch pins its source offsets (sticky replay).
-            batch = self.source.dataset_for(self.source.plan_batch(batch_index))
+            # Planning the batch pins its source offsets (sticky replay);
+            # the workers read the range, the driver reads nothing.
+            batch_range = self.source.plan_batch(batch_index)
+            batch = self.source.dataset_for(batch_range)
             if batch.num_partitions != placeholder.num_partitions:
                 raise StreamingError(
                     f"batch {batch_index} has {batch.num_partitions} partitions, "
@@ -217,7 +220,7 @@ class StreamingContext:
             for op, plan in zip(self.output_ops, group_plans):
                 plans.append(plan)
                 keys.append((op.index, batch_index))
-                sources.append(batch.partition_fn)
+                sources.append((self.source, batch_range))
         results = self.driver.run_group(
             plans, job_keys=keys, reuse=reuse, sources=sources
         )

@@ -6,13 +6,13 @@ deterministic offset range from each partition, which gives the engine
 deterministic replay (the foundation of micro-batch fault tolerance).
 
 A batch's Dataset is a leaf whose ``partition_fn`` reads that batch's
-records.  The driver calls it when it submits the batch's jobs and each
-source task's descriptor carries its partition's records; the plan the
-workers receive is code only and the same for every batch.  §4 of the
-paper computes offset metadata on the workers instead, because there the
-records sit in an external log (Kafka) any worker can read; here the log
-lives in the driver's process, so the driver is the one place that can
-read it.
+records.  As in §4 of the paper, the driver only decides what a batch
+reads (:meth:`StreamSource.plan_batch`) and the workers read it: each
+source task's descriptor carries a read spec — its batch range and
+partition — and the worker calls ``dataset_for(batch_range).partition_fn``
+through the driver's process-local source registry, which stands in for
+the external log (Kafka) every worker can reach.  The plan the workers
+receive is code only and the same for every batch.
 """
 
 from __future__ import annotations
@@ -146,9 +146,9 @@ class LogSource(StreamSource):
         log = self.log
 
         def partition_fn(partition: int) -> List[Any]:
-            # Called by the driver when it submits the batch: the log
-            # lives in its process, and the records travel to the
-            # workers in the source tasks' descriptors.
+            # Called by the worker that runs the source task, once per
+            # attempt; the range is sticky, so every attempt reads the
+            # same records.
             return log.read(
                 partition, batch_range.starts[partition], batch_range.ends[partition]
             )

@@ -177,9 +177,9 @@ class TestCarryOver:
 
 
 class TestSourceInputAcrossAttempts:
-    """The driver reads a source task's records once, when the job is
-    submitted; a re-run after a worker loss and a speculative clone carry
-    the same records as the first attempt."""
+    """A source task's descriptor carries a read spec, never records; a
+    re-run after a worker loss and a speculative clone carry the first
+    attempt's spec and read the same records through it."""
 
     @staticmethod
     def record_launches(cluster):
@@ -192,6 +192,35 @@ class TestSourceInputAcrossAttempts:
 
             worker.launch_tasks = recording
         return launched
+
+    @staticmethod
+    def record_reads(cluster):
+        """Every spec the workers resolve, with the records it gave."""
+        reads = []
+        registry = cluster.driver.sources
+
+        def recording(spec, read=registry.read):
+            records = read(spec)
+            reads.append((spec, list(records)))
+            return records
+
+        registry.read = recording
+        return reads
+
+    @staticmethod
+    def assert_same_input(descs, reads):
+        """Every attempt carries the first attempt's spec, and every read
+        of it gave the partition's records."""
+        first = descs[0]
+        partition = first.task_id.partition
+        assert first.read.partition == partition
+        assert first.read.batch_range is None  # a dataset's own source
+        for later in descs[1:]:
+            assert later.task_id.attempt > first.task_id.attempt
+            assert later.read == first.read
+        got = [records for spec, records in reads if spec == first.read]
+        assert got, f"no attempt of partition {partition} read its input"
+        assert all(records == list(range(24))[partition::6] for records in got)
 
     @staticmethod
     def stalled_plan(delay_s):
@@ -220,6 +249,7 @@ class TestSourceInputAcrossAttempts:
     def test_rerun_after_worker_loss_carries_the_first_input(self):
         with make_cluster(SchedulingMode.DRIZZLE, workers=3, slots=1) as cluster:
             launched = self.record_launches(cluster)
+            reads = self.record_reads(cluster)
             job_ids = cluster.driver.submit_group([self.stalled_plan(0.2)])
             cluster.kill_worker("worker-1")  # its map tasks are mid-stall
             result = cluster.driver.wait_job(job_ids[0])
@@ -228,11 +258,8 @@ class TestSourceInputAcrossAttempts:
             assert sorted(attempts) == list(range(6))
             reruns = [descs for descs in attempts.values() if len(descs) > 1]
             assert reruns, "the loss re-ran no source task"
-            for partition, descs in attempts.items():
-                assert descs[0].input == list(range(24))[partition::6]
-                for later in descs[1:]:
-                    assert later.task_id.attempt > descs[0].task_id.attempt
-                    assert later.input == descs[0].input
+            for descs in attempts.values():
+                self.assert_same_input(descs, reads)
 
     def test_speculative_clone_carries_the_first_input(self):
         from repro.common.config import SpeculationConf
@@ -250,6 +277,7 @@ class TestSourceInputAcrossAttempts:
         ) as cluster:
             cluster.workers["worker-0"].compute_delay_per_task_s = 0.8
             launched = self.record_launches(cluster)
+            reads = self.record_reads(cluster)
             result = cluster.run_plan(self.stalled_plan(0.0))
             assert result == {0: sum(range(0, 24, 2)), 1: sum(range(1, 24, 2))}
             assert cluster.metrics.counter(COUNT_SPECULATIVE).value >= 1
@@ -261,5 +289,4 @@ class TestSourceInputAcrossAttempts:
             assert clones, "no source task was cloned"
             for descs in clones:
                 assert len({d.task_id.attempt for d in descs}) == len(descs)
-                for clone in descs[1:]:
-                    assert clone.input == descs[0].input
+                self.assert_same_input(descs, reads)

@@ -127,6 +127,43 @@ class TestStreamingJobsAreReleasedAtCheckpoints:
                 assert worker_job_ids(worker) == set()
 
 
+class TestSourceRegistryIsReleased:
+    """The driver's source registry holds an entry per live job and drops
+    it at the job's release point, like every other per-job table."""
+
+    def test_streaming_jobs_leave_the_registry_at_checkpoints(self):
+        groups, group_size, interval = 50, 2, 4
+        batches = [[f"k{(b + i) % 7}" for i in range(12)] for b in range(groups * group_size)]
+        with make_cluster(
+            SchedulingMode.DRIZZLE,
+            workers=2,
+            group_size=group_size,
+            checkpoint_interval_batches=interval,
+        ) as cluster:
+            ctx = StreamingContext(cluster, FixedBatchSource(batches, 3))
+            store = ctx.state_store("counts")
+            ctx.stream().map(lambda w: (w, 1)).reduce_by_key(
+                lambda a, b: a + b, 2
+            ).update_state(store, merge=lambda a, b: a + b)
+            for _ in range(groups):
+                ctx.run_batches(group_size)
+                registered = cluster.driver.sources.job_ids()
+                since_checkpoint = set(
+                    cluster.driver.job_ids_through(ctx.next_batch - 1)
+                )
+                assert registered == since_checkpoint
+                assert len(registered) <= interval
+            ctx.checkpoint()
+            assert cluster.driver.sources.job_ids() == set()
+
+    @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.value)
+    def test_collects_leave_nothing_in_the_registry(self, mode):
+        with make_cluster(mode, workers=2) as cluster:
+            for _ in range(5):
+                cluster.collect(shuffle_dataset())
+            assert cluster.driver.sources.job_ids() == set()
+
+
 class CountingSource(FixedBatchSource):
     """A fixed source that counts how often each (batch, partition) is read."""
 

@@ -10,7 +10,7 @@ from repro.common.metrics import MetricsRegistry
 from repro.dag.dataset import parallelize
 from repro.dag.plan import collect_action, compile_plan
 from repro.engine.rpc import Transport
-from repro.engine.task import TaskDescriptor, TaskId
+from repro.engine.task import ReadSpec, SourceRead, SourceRegistry, TaskDescriptor, TaskId
 from repro.engine.worker import Worker
 
 
@@ -36,7 +36,7 @@ def make_worker(worker_id="w0", slots=2):
     driver = _FakeDriver()
     transport.register("driver", driver)
     worker = Worker(worker_id, transport, EngineConf(slots_per_worker=slots),
-                    MetricsRegistry())
+                    MetricsRegistry(), sources=SOURCES)
     worker.start()
     return worker, driver, transport
 
@@ -50,9 +50,15 @@ def wait_for(predicate, timeout=5.0):
     return False
 
 
-def source_input(plan, partition):
-    """What the driver puts in a source task's descriptor."""
-    return list(plan.stages[0].source_fn(partition))
+# The registry these tests' workers read their source tasks' input from.
+SOURCES = SourceRegistry()
+
+
+def source_read(plan, partition, job_id=0):
+    """Register the plan's source for ``job_id`` as the driver does, and
+    return the read spec it puts in a source task's descriptor."""
+    SOURCES.register(job_id, {0: SourceRead(plan.stages[0].source_fn, readers=1)})
+    return ReadSpec(job_id, 0, None, partition)
 
 
 def narrow_descriptor(job_id=0, partition=0, data=(1, 2, 3)):
@@ -61,7 +67,7 @@ def narrow_descriptor(job_id=0, partition=0, data=(1, 2, 3)):
         task_id=TaskId(job_id, 0, partition),
         plan=plan,
         pre_scheduled=True,
-        input=source_input(plan, partition),
+        read=source_read(plan, partition, job_id),
     )
 
 
@@ -86,7 +92,7 @@ class TestTaskExecution:
                     task_id=TaskId(0, 0, 0),
                     plan=plan,
                     pre_scheduled=True,
-                    input=source_input(plan, 0),
+                    read=source_read(plan, 0),
                 )
             ]
         )
@@ -128,7 +134,7 @@ class TestLocalScheduler:
             plan=plan,
             pre_scheduled=True,
             downstream={0: "w0"},
-            input=source_input(plan, 0),
+            read=source_read(plan, 0),
         )
         worker.launch_tasks([map_desc])
         assert wait_for(lambda: len(driver.reports) == 2)

@@ -29,7 +29,7 @@ from repro.dag.dataset import parallelize
 from repro.dag.plan import collect_action, compile_plan
 from repro.engine.blocks import BUCKET_MISSING, BUCKET_OK, BlockStore
 from repro.engine.rpc import Transport
-from repro.engine.task import TaskDescriptor, TaskId
+from repro.engine.task import ReadSpec, TaskDescriptor, TaskId
 from repro.engine.worker import Worker
 from repro.net import FrameError, TcpTransport, encode_frame, read_frame
 from repro.net.framing import HEADER, KIND_REQUEST, MAGIC, VERSION
@@ -364,7 +364,7 @@ class TestStageBlobs:
             map_locations={(7, 0): "w1"},
             map_epochs={(7, 0): 2, (7, 1): 1},
             trace_ctx=SpanContext("trace-1", 9),
-            input=[("k", 1), ("k", 2)],
+            read=ReadSpec(4, 1, None, 2),
         )
         names = {f.name for f in dataclasses.fields(TaskDescriptor)} - {"plan"}
         # The fixture itself must not leave a field at its default.

@@ -121,6 +121,32 @@ class TestFraming:
             a.close()
             b.close()
 
+    def test_large_payload_is_received_without_a_copy(self):
+        import tracemalloc
+
+        from repro.net.framing import FramedSocket
+
+        payload = bytes(range(256)) * 4096  # 1 MiB
+        wire = encode_frame(KIND_REQUEST, payload)
+        a, b = socket.socketpair()
+        try:
+            framed = FramedSocket(b)
+            sender = threading.Thread(target=a.sendall, args=(wire,))
+            tracemalloc.start()
+            try:
+                sender.start()
+                kind, got = framed.read_frame()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            sender.join()
+        finally:
+            a.close()
+            b.close()
+        assert (kind, got) == (KIND_REQUEST, payload)
+        # The received buffer is the payload; a copy to bytes made it 2x.
+        assert peak < 1.5 * len(payload), peak
+
     def test_truncated_stream_is_connection_closed(self):
         a, b = socket.socketpair()
         try:
